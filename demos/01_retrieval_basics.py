@@ -37,7 +37,7 @@ def main() -> None:
     index = build_index(CORPUS, vocab, params)
     results = top_k(q, index, k=3)
     for r in results:
-        print(f"  rank {r.rank}: score={r.score:+.4f}  {index.chunk(r.chunk_id).text!r}")
+        print(f"  rank {r.rank}: score={r.score:+.4f}  {index.text(r.chunk_id)!r}")
 
     print("\n== 4. Threshold filtering ==")
     tau = results[1].score  # keep everything scoring at least as well as rank 2

@@ -6,12 +6,11 @@ so a correctly wired retrieve-weight-aggregate-decode pipeline can drive
 the training loss to zero. Takes a few seconds. Run with:
 python3 demos/02_train_and_generate.py
 """
-from alignrag.aggregation import aggregate, normalize_weights
 from alignrag.data import SyntheticSpec, generate_synthetic, evidence_texts
 from alignrag.decoder import decode_greedy
 from alignrag.encoder import encode
-from alignrag.evaluation import evaluate
-from alignrag.index import build_index, top_k
+from alignrag.evaluation import evaluate, retrieve
+from alignrag.index import build_index
 from alignrag.training import TrainConfig, train
 
 
@@ -49,12 +48,10 @@ def main() -> None:
     chunks = evidence_texts(s, include_title=config.include_title)
     index = build_index(list(enumerate(text for _, text in chunks)), ckpt.vocab, ckpt.encoder)
     q = encode(s.question, ckpt.vocab, ckpt.encoder)
-    results = top_k(q, index, config.top_k)
+    results, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
     for r in results:
         print(f"  retrieved rank {r.rank}: {chunks[r.chunk_id][0]!r} (score {r.score:.3f})")
-    weights = normalize_weights([(r.chunk_id, r.score) for r in results], config.beta)
-    agg = aggregate(weights, index)
-    trace = decode_greedy(s.question, agg, ckpt.vocab, ckpt.encoder, ckpt.decoder)
+    trace = decode_greedy(q, agg, ckpt.decoder)
     print(f"  generated: {ckpt.vocab.decode(trace.tokens)!r}   (gold: {s.answer!r})")
 
     print("\n== Full evaluation ==")

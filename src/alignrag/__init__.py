@@ -4,26 +4,19 @@ testable against an independent oracle."""
 
 from .aggregation import EvidenceAggregate, EvidenceWeights, aggregate, normalize_weights
 from .data import QASample, SyntheticSpec, generate_synthetic, load_hotpotqa
-from .decoder import (
-    DecoderParams,
-    GenerationTrace,
-    decode_greedy,
-    decode_sample,
-    init_decoder_params,
-)
+from .decoder import DecoderParams, GenerationTrace, decode_greedy, init_decoder_params
 from .encoder import EncoderParams, SemanticVector, encode, init_encoder_params
 from .evaluation import (
     EvalReport,
     SweepResult,
     evaluate,
+    retrieve,
     sweep_alignment_weight,
     sweep_top_k,
 )
 from .index import (
-    EvidenceChunk,
     EvidenceIndex,
     RetrievalResult,
-    alignment_score,
     build_index,
     filter_by_threshold,
     load_index,
@@ -60,7 +53,6 @@ __all__ = [
     "EncoderParams",
     "EvalReport",
     "EvidenceAggregate",
-    "EvidenceChunk",
     "EvidenceIndex",
     "EvidenceWeights",
     "GenerationTrace",
@@ -74,12 +66,10 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "aggregate",
-    "alignment_score",
     "bleu",
     "build_index",
     "consistency_loss",
     "decode_greedy",
-    "decode_sample",
     "encode",
     "evaluate",
     "exact_match",
@@ -94,6 +84,7 @@ __all__ = [
     "nll_loss",
     "normalize_answer",
     "normalize_weights",
+    "retrieve",
     "rouge_l",
     "save_checkpoint",
     "save_index",

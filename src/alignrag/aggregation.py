@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SemanticVector
-from .errors import EmptyScores, NonFiniteBeta, UnknownChunkId
+from .errors import EmptyScores, NonFiniteBeta
 from .index import EvidenceIndex
 
 
@@ -29,6 +29,12 @@ class EvidenceAggregate:
     source_weights: EvidenceWeights
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of a 1-D array, computed with max subtraction."""
+    expd = np.exp(x - x.max())
+    return expd / expd.sum()
+
+
 def normalize_weights(scores, beta: float) -> EvidenceWeights:
     """Softmax over beta-scaled scores, computed with max subtraction."""
     scores = list(scores)
@@ -37,21 +43,18 @@ def normalize_weights(scores, beta: float) -> EvidenceWeights:
     if not math.isfinite(beta) or beta < 0:
         raise NonFiniteBeta(f"beta must be finite and >= 0, got {beta}")
     ids = [cid for cid, _ in scores]
-    raw = np.array([s for _, s in scores], dtype=np.float64)
-    scaled = beta * raw
-    scaled -= scaled.max()
-    expd = np.exp(scaled)
-    alphas = expd / expd.sum()
+    alphas = softmax(beta * np.array([s for _, s in scores], dtype=np.float64))
     return EvidenceWeights(entries=list(zip(ids, alphas.tolist())), beta=beta)
 
 
 def aggregate(weights: EvidenceWeights, index: EvidenceIndex) -> EvidenceAggregate:
-    """Exact weighted sum of the referenced chunk vectors."""
+    """Exact weighted sum of the referenced chunk vectors, in weight order.
+
+    Raises UnknownChunkId for an id absent from the index.
+    """
     vec = None
     for chunk_id, alpha in weights.entries:
-        if chunk_id not in index:
-            raise UnknownChunkId(f"chunk id {chunk_id} not in index")
-        contrib = alpha * index.chunk(chunk_id).vector.values
+        contrib = alpha * index.matrix[index.row(chunk_id)]
         vec = contrib if vec is None else vec + contrib
     return EvidenceAggregate(
         vector=SemanticVector(vec, normalized=False), source_weights=weights

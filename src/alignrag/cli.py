@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline stages: index, query, train, generate,
 eval, sweep. Resolution order for every setting is CLI flag > config
-file > built-in default, and each run writes its resolved configuration
-next to its outputs. Stdout carries data, stderr carries diagnostics.
+file > built-in default; generate, eval and sweep take their defaults
+from the checkpoint's stored config. Each run writes its resolved
+configuration next to its outputs. Stdout carries data, stderr carries
+diagnostics.
 
 Exit codes: 0 success, 2 I/O or schema error, 3 retrieval filter
 emptied the result set, 4 non-finite training loss.
@@ -16,21 +18,21 @@ import json
 import sys
 from pathlib import Path
 
-from .aggregation import aggregate, normalize_weights
 from .data import load_hotpotqa, read_corpus
 from .decoder import decode_greedy
 from .encoder import encode, init_encoder_params
-from .errors import AlignRagError, NonFiniteLoss, ParseError, SchemaError, CheckpointError
+from .errors import AlignRagError, NonFiniteLoss, SchemaError
 from .evaluation import (
     evaluate,
     report_to_json,
+    retrieve,
     sweep_alignment_weight,
     sweep_to_csv,
     sweep_to_json,
     sweep_to_svg,
     sweep_top_k,
 )
-from .index import build_index, filter_by_threshold, load_index, save_index, top_k
+from .index import build_index, load_index, save_index
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .vocab import Vocabulary
 
@@ -51,7 +53,6 @@ _SECTIONS = {
         "lambda",
         "beta",
         "max_len",
-        "grad_check",
         "freeze_encoder",
         "differentiable_weights",
     ),
@@ -114,12 +115,11 @@ def cmd_query(args) -> int:
     index, vocab, params = load_index(args.index)
     config = resolve_config(args.config, _overrides(args))
     q = encode(args.question, vocab, params)
-    results = filter_by_threshold(top_k(q, index, config.top_k), config.tau)
-    if not results:
+    results, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
+    if agg is None:
         print(f"no results above tau={config.tau}", file=sys.stderr)
         return EXIT_EMPTY_FILTER
-    weights = normalize_weights([(r.chunk_id, r.score) for r in results], config.beta)
-    alphas = dict(weights.entries)
+    alphas = dict(agg.source_weights.entries)
     if args.format == "json":
         rows = [
             {"rank": r.rank, "id": r.chunk_id, "score": r.score, "alpha": alphas[r.chunk_id]}
@@ -149,21 +149,17 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    config = resolve_config(args.config, _overrides(args))
+    config = resolve_config(args.config, _overrides(args), base=ckpt.config)
     corpus = read_corpus(args.corpus)
     index = build_index(corpus, ckpt.vocab, ckpt.encoder)
     q = encode(args.question, ckpt.vocab, ckpt.encoder)
-    results = filter_by_threshold(top_k(q, index, config.top_k), config.tau)
-    if not results:
+    results, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
+    if agg is None:
         print(f"no results above tau={config.tau}", file=sys.stderr)
         return EXIT_EMPTY_FILTER
-    weights = normalize_weights([(r.chunk_id, r.score) for r in results], config.beta)
-    agg = aggregate(weights, index)
-    trace = decode_greedy(
-        args.question, agg, ckpt.vocab, ckpt.encoder, ckpt.decoder, max_len=config.max_len
-    )
+    trace = decode_greedy(q, agg, ckpt.decoder, max_len=config.max_len)
     answer = ckpt.vocab.decode(trace.tokens)
-    alphas = dict(weights.entries)
+    alphas = dict(agg.source_weights.entries)
     doc = {
         "question": args.question,
         "answer": answer,
@@ -201,7 +197,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_hotpotqa(args.data)
-    config = resolve_config(args.config, _overrides(args))
+    config = resolve_config(args.config, _overrides(args), base=ckpt.config)
     grid = [float(v) for v in args.grid.split(",")]
     if args.param == "beta":
         sweep = sweep_alignment_weight(dataset, ckpt, grid, config)
@@ -288,10 +284,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONFINITE
-    except (OSError, ParseError, SchemaError, CheckpointError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except AlignRagError as err:
+    except (OSError, json.JSONDecodeError, AlignRagError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -134,9 +134,9 @@ def load_hotpotqa(path, strict: bool = True) -> list[QASample]:
             context.append((str(title), [str(s) for s in sentences]))
         facts = []
         for entry in record["supporting_facts"]:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and type(entry[1]) is int):
                 raise SchemaError(f"{path}: record {rid} has a malformed supporting fact")
-            facts.append((str(entry[0]), int(entry[1])))
+            facts.append((str(entry[0]), entry[1]))
         samples.append(
             QASample(
                 id=str(record["_id"]),
@@ -202,9 +202,11 @@ def read_corpus(path) -> list[tuple[int, str]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ParseError(f"{path}:{lineno}: {err.msg}", offset=err.pos) from err
-            if "id" not in obj or "text" not in obj:
+            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise SchemaError(f"{path}:{lineno}: corpus line needs 'id' and 'text'")
-            corpus.append((int(obj["id"]), str(obj["text"])))
+            if type(obj["id"]) is not int:
+                raise SchemaError(f"{path}:{lineno}: corpus id {obj['id']!r} is not an integer")
+            corpus.append((obj["id"], str(obj["text"])))
     return corpus
 
 

@@ -3,7 +3,7 @@
 A single gated recurrent cell produces the generation state h_t; the
 evidence aggregate e is concatenated with h_t at EVERY step before the
 output projection, so the constraint is continuous rather than
-prefix-only. Decoding is greedy by default and fully deterministic.
+prefix-only. Decoding is greedy and fully deterministic.
 """
 from __future__ import annotations
 
@@ -11,16 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import EvidenceAggregate
-from .encoder import EncoderParams, SemanticVector, encode
+from .aggregation import EvidenceAggregate, softmax
+from .encoder import INIT_SCALE, SemanticVector, values_of
 from .errors import DegenerateNorm, DimMismatch, EmptyTrace, InvalidTokenId
-from .vocab import BOS_ID, EOS_ID, Vocabulary
+from .vocab import BOS_ID, EOS_ID
 
 DEFAULT_HIDDEN = 64
 DEFAULT_MAX_LEN = 32
-INIT_SCALE = 0.08
 
-# Parameter tensor names and their shape builders, shared with training.
+# Gate tensor names; decoder_shapes derives every tensor shape from them.
 _GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
 
@@ -87,12 +86,6 @@ class GenerationTrace:
     evidence_ref: EvidenceAggregate
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
 def fuse(h: np.ndarray, e: np.ndarray, params: DecoderParams) -> np.ndarray:
     """Output logits from the concatenated (generation state, evidence)."""
     w_out = params["w_out"]
@@ -115,7 +108,7 @@ def step(
     r = _sigmoid(p["w_r"] @ x + p["u_r"] @ h_prev + p["b_r"])
     h_cand = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h_prev) + p["b_h"])
     h = (1.0 - z) * h_prev + z * h_cand
-    dist = _softmax(fuse(h, e, params))
+    dist = softmax(fuse(h, e, params))
     return dist, h
 
 
@@ -139,47 +132,23 @@ def pooled_generation_repr(step_states, params: DecoderParams) -> SemanticVector
 
 
 def decode_greedy(
-    query: str,
+    q_vec,
     evidence: EvidenceAggregate,
-    vocab: Vocabulary,
-    enc_params: EncoderParams,
     dec_params: DecoderParams,
     max_len: int = DEFAULT_MAX_LEN,
 ) -> GenerationTrace:
-    """Greedy decode; argmax ties resolve to the lowest token id."""
-    q = encode(query, vocab, enc_params)
-    return _decode(q, evidence, dec_params, max_len, rng=None)
-
-
-def decode_sample(
-    query: str,
-    evidence: EvidenceAggregate,
-    vocab: Vocabulary,
-    enc_params: EncoderParams,
-    dec_params: DecoderParams,
-    max_len: int = DEFAULT_MAX_LEN,
-    seed: int = 0,
-) -> GenerationTrace:
-    """Ancestral sampling behind a fixed seed; mainly for qualitative use."""
-    q = encode(query, vocab, enc_params)
-    return _decode(q, evidence, dec_params, max_len, rng=np.random.default_rng(seed))
-
-
-def _decode(q, evidence, dec_params, max_len, rng) -> GenerationTrace:
+    """Greedy decode from the encoded query; argmax ties resolve to the lowest token id."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     e = evidence.vector.values
-    h = initial_state(q.values, dec_params)
+    h = initial_state(values_of(q_vec), dec_params)
     tokens: list[int] = []
     states: list[np.ndarray] = []
     dists: list[np.ndarray] = []
     prev = BOS_ID
     for _ in range(max_len):
         dist, h = step(prev, h, e, dec_params)
-        if rng is None:
-            tok = int(np.argmax(dist))  # first (lowest-id) max wins
-        else:
-            tok = int(rng.choice(len(dist), p=dist))
+        tok = int(np.argmax(dist))  # first (lowest-id) max wins
         tokens.append(tok)
         states.append(h)
         dists.append(dist)

@@ -62,6 +62,11 @@ class EncoderParams:
         return h.hexdigest()[:16]
 
 
+def values_of(v) -> np.ndarray:
+    """The float64 array behind a SemanticVector or any array-like."""
+    return v.values if isinstance(v, SemanticVector) else np.asarray(v, dtype=np.float64)
+
+
 def init_encoder_params(vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0) -> EncoderParams:
     rng = np.random.default_rng(seed)
     table = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))

@@ -25,10 +25,6 @@ class EmptyCorpus(AlignRagError):
     """An operation required a nonempty corpus."""
 
 
-class EmptyIndex(AlignRagError):
-    """Retrieval was attempted against an index with no entries."""
-
-
 class EmptyScores(AlignRagError):
     """Weight normalization needs at least one score."""
 

@@ -1,6 +1,7 @@
 """End-to-end evaluation and sensitivity sweeps.
 
-evaluate() runs encode -> top-k -> threshold -> weight -> aggregate ->
+retrieve() is the one retrieval path of the pipeline: top-k ->
+threshold -> weight -> aggregate. evaluate() runs encode -> retrieve ->
 greedy decode -> metrics for every sample and emits a fully attributed,
 deterministic report. The two sweeps vary exactly one parameter (the
 alignment-weight temperature beta, or retrieval top-k) and rerun
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import aggregate, normalize_weights
+from .aggregation import EvidenceAggregate, aggregate, normalize_weights
 from .data import QASample, evidence_texts
 from .decoder import decode_greedy
 from .encoder import encode
 from .errors import EmptyScores
-from .index import build_index, filter_by_threshold, top_k
+from .index import EvidenceIndex, RetrievalResult, build_index, filter_by_threshold, top_k
 from .metrics import MetricReport, bleu, exact_match, rouge_l, score_corpus, token_f1
 from .training import Checkpoint, TrainConfig
 from .vocab import tokenize
@@ -77,6 +78,21 @@ def _support_rate(pred_tokens: list[str], retained_texts: list[str]) -> float | 
     return sum(1 for t in content if t in evidence_tokens) / len(content)
 
 
+def retrieve(
+    q, index: EvidenceIndex, k: int, tau: float, beta: float
+) -> tuple[list[RetrievalResult], EvidenceAggregate | None]:
+    """Top-k results kept by the threshold tau, and their beta-weighted aggregate.
+
+    The aggregate carries the weights as source_weights. When tau keeps
+    nothing, the result is ([], None).
+    """
+    results = filter_by_threshold(top_k(q, index, k), tau)
+    if not results:
+        return [], None
+    weights = normalize_weights([(r.chunk_id, r.score) for r in results], beta)
+    return results, aggregate(weights, index)
+
+
 def evaluate(
     dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig | None = None
 ) -> EvalReport:
@@ -99,8 +115,8 @@ def evaluate(
         index = build_index(list(enumerate(text for _, text in chunks)), vocab, enc)
         q = encode(sample.question, vocab, enc)
         k = len(index) if config.oracle_evidence else config.top_k
-        results = filter_by_threshold(top_k(q, index, k), config.tau)
-        if not results:
+        results, agg = retrieve(q, index, k, config.tau, config.beta)
+        if agg is None:
             n_failures += 1
             preds.append("")
             golds.append(sample.answer)
@@ -119,19 +135,17 @@ def evaluate(
                 }
             )
             continue
-        weights = normalize_weights([(r.chunk_id, r.score) for r in results], config.beta)
-        agg = aggregate(weights, index)
-        trace = decode_greedy(sample.question, agg, vocab, enc, dec, max_len=config.max_len)
+        trace = decode_greedy(q, agg, dec, max_len=config.max_len)
         pred = vocab.decode(trace.tokens)
         consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
-        retained_texts = [index.chunk(r.chunk_id).text for r in results]
+        retained_texts = [index.text(r.chunk_id) for r in results]
         rate = _support_rate(tokenize(pred), retained_texts)
         preds.append(pred)
         golds.append(sample.answer)
         consistencies.append(consistency)
         if rate is not None:
             support_rates.append(rate)
-        alphas = dict(weights.entries)
+        alphas = dict(agg.source_weights.entries)
         records.append(
             {
                 "id": sample.id,

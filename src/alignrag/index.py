@@ -1,7 +1,9 @@
 """Evidence store with exact cosine retrieval.
 
-The index is a brute-force scan: every query scores every entry, so
-results are exact and directly comparable to an exhaustive oracle.
+The index is flat: an ascending chunk-id array, the chunk texts, and one
+unit-norm row per chunk in a single matrix. Every query scores every
+row, so results are exact and directly comparable to an exhaustive
+oracle.
 """
 from __future__ import annotations
 
@@ -9,30 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, SemanticVector, encode
+from .encoder import EncoderParams, encode_ids, values_of
 from .errors import (
+    CheckpointError,
     DimMismatch,
     DuplicateId,
     EmptyCorpus,
-    EmptyIndex,
     EmptyInput,
+    UnknownChunkId,
 )
 from .serialization import read_container, write_container
 from .vocab import Vocabulary
 
 INDEX_FORMAT_VERSION = 1
 ZERO_NORM_EPS = 1e-12
-DEFAULT_TOP_K = 5
-DEFAULT_TAU = -1.0
-
-
-@dataclass
-class EvidenceChunk:
-    """One piece of evidence text with its cached encoding."""
-
-    id: int
-    text: str
-    vector: SemanticVector
+UNIT_NORM_TOL = 1e-6
 
 
 @dataclass
@@ -43,24 +36,40 @@ class RetrievalResult:
 
 
 class EvidenceIndex:
-    def __init__(self, entries: list[EvidenceChunk], encoder_fingerprint: str):
-        if not entries:
+    """Chunk ids in ascending order, their texts, and an (N, dim) row matrix."""
+
+    def __init__(self, ids, texts: list[str], matrix: np.ndarray, encoder_fingerprint: str):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
             raise EmptyCorpus("index needs at least one entry")
-        self.entries = sorted(entries, key=lambda c: c.id)
+        order = np.argsort(ids, kind="stable")
+        self.ids = ids[order]
+        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        if repeated.size:
+            raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
+        self.texts = [texts[i] for i in order]
+        self.matrix = np.asarray(matrix, dtype=np.float64)[order]
         self.encoder_fingerprint = encoder_fingerprint
-        self.dim = self.entries[0].vector.dim
-        self._ids = np.array([c.id for c in self.entries], dtype=np.int64)
-        self._matrix = np.stack([c.vector.values for c in self.entries])
-        self._by_id = {c.id: c for c in self.entries}
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
-    def chunk(self, chunk_id: int) -> EvidenceChunk:
-        return self._by_id[chunk_id]
+    def row(self, chunk_id: int) -> int:
+        """Position of chunk_id in ids, texts and matrix."""
+        pos = int(np.searchsorted(self.ids, chunk_id))
+        if pos == len(self.ids) or self.ids[pos] != chunk_id:
+            raise UnknownChunkId(f"chunk id {chunk_id} not in index")
+        return pos
+
+    def text(self, chunk_id: int) -> str:
+        return self.texts[self.row(chunk_id)]
 
     def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._by_id
+        return chunk_id in self.ids
 
 
 def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceIndex:
@@ -68,52 +77,37 @@ def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceInd
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    seen = set()
-    entries = []
+    rows = []
     for chunk_id, text in corpus:
-        if chunk_id in seen:
-            raise DuplicateId(f"duplicate chunk id {chunk_id}")
-        seen.add(chunk_id)
-        try:
-            vec = encode(text, vocab, params)
-        except EmptyInput as err:
-            raise EmptyInput(f"chunk {chunk_id}: {err}") from err
-        entries.append(EvidenceChunk(id=chunk_id, text=text, vector=vec))
-    return EvidenceIndex(entries, encoder_fingerprint=params.fingerprint())
-
-
-def alignment_score(q, d) -> float:
-    """Cosine similarity; degenerate (near-zero) vectors score 0."""
-    qv = q.values if isinstance(q, SemanticVector) else np.asarray(q, dtype=np.float64)
-    dv = d.values if isinstance(d, SemanticVector) else np.asarray(d, dtype=np.float64)
-    if qv.shape != dv.shape:
-        raise DimMismatch(f"dims differ: {qv.shape} vs {dv.shape}")
-    qn = np.linalg.norm(qv)
-    dn = np.linalg.norm(dv)
-    if qn < ZERO_NORM_EPS or dn < ZERO_NORM_EPS:
-        return 0.0
-    return float(qv @ dv / (qn * dn))
+        ids = vocab.encode(text)
+        if not ids:
+            raise EmptyInput(f"chunk {chunk_id}: text tokenized to nothing: {text!r}")
+        rows.append(encode_ids(ids, params))
+    return EvidenceIndex(
+        [cid for cid, _ in corpus],
+        [text for _, text in corpus],
+        np.stack(rows),
+        encoder_fingerprint=params.fingerprint(),
+    )
 
 
 def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
     """Exact top-k by score, ties broken by ascending chunk id."""
-    if len(index) == 0:
-        raise EmptyIndex("index has no entries")
     if k < 1:
         raise ValueError("k must be >= 1")
-    qv = q.values if isinstance(q, SemanticVector) else np.asarray(q, dtype=np.float64)
+    qv = values_of(q)
     if qv.shape[0] != index.dim:
         raise DimMismatch(f"query dim {qv.shape[0]} != index dim {index.dim}")
     qn = np.linalg.norm(qv)
     if qn < ZERO_NORM_EPS:
         scores = np.zeros(len(index))
     else:
-        # Entry vectors are unit norm by construction, so the dot product
-        # with the normalized query is the cosine.
-        scores = index._matrix @ (qv / qn)
-    order = np.lexsort((index._ids, -scores))[: min(k, len(index))]
+        # Rows are unit norm by construction, so the dot product with the
+        # normalized query is the cosine.
+        scores = index.matrix @ (qv / qn)
+    order = np.lexsort((index.ids, -scores))[: min(k, len(index))]
     return [
-        RetrievalResult(chunk_id=int(index._ids[i]), score=float(scores[i]), rank=r + 1)
+        RetrievalResult(chunk_id=int(index.ids[i]), score=float(scores[i]), rank=r + 1)
         for r, i in enumerate(order)
     ]
 
@@ -130,24 +124,34 @@ def save_index(path, index: EvidenceIndex, vocab: Vocabulary, params: EncoderPar
         "dim": index.dim,
         "entry_count": len(index),
         "encoder_fingerprint": index.encoder_fingerprint,
-        "entries": [{"id": c.id, "text": c.text} for c in index.entries],
+        "entries": [{"id": i, "text": t} for i, t in zip(index.ids.tolist(), index.texts)],
         "vocab": {"tokens": vocab.tokens, "hash_buckets": vocab.hash_buckets},
     }
-    arrays = {"vectors": index._matrix, "embedding": params.embedding}
+    arrays = {"vectors": index.matrix, "embedding": params.embedding}
     write_container(path, "index", header, arrays)
 
 
 def load_index(path) -> tuple[EvidenceIndex, Vocabulary, EncoderParams]:
     header, arrays = read_container(path, "index")
-    vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
-    params = EncoderParams(embedding=arrays["embedding"])
-    entries = [
-        EvidenceChunk(
-            id=meta["id"],
-            text=meta["text"],
-            vector=SemanticVector(arrays["vectors"][i], normalized=True),
+    vectors = arrays["vectors"]
+    entries = header["entries"]
+    shape = (header["entry_count"], header["dim"])
+    if vectors.shape != shape or len(entries) != shape[0]:
+        raise CheckpointError(
+            f"{path}: {len(entries)} entries and vectors {vectors.shape}, header says {shape}"
         )
-        for i, meta in enumerate(header["entries"])
-    ]
-    index = EvidenceIndex(entries, encoder_fingerprint=header["encoder_fingerprint"])
-    return index, vocab, params
+    if not np.all(np.isfinite(vectors)):
+        raise CheckpointError(f"{path}: non-finite entry vector")
+    if np.any(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_NORM_TOL):
+        raise CheckpointError(f"{path}: entry vector with non-unit norm")
+    ids = [meta["id"] for meta in entries]
+    if not all(type(i) is int for i in ids):
+        raise CheckpointError(f"{path}: non-integer chunk id")
+    try:
+        index = EvidenceIndex(
+            ids, [meta["text"] for meta in entries], vectors, header["encoder_fingerprint"]
+        )
+    except (DuplicateId, EmptyCorpus) as err:
+        raise CheckpointError(f"{path}: {err}") from err
+    vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
+    return index, vocab, EncoderParams(embedding=arrays["embedding"])

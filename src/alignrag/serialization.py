@@ -47,14 +47,21 @@ def write_container(path, kind: str, header: dict, arrays: dict[str, np.ndarray]
 
 
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a container; CheckpointError if it is malformed or truncated."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        fixed = fh.read(8)
+        if len(fixed) != 8:
+            raise CheckpointError(f"{path}: truncated before the header length")
+        version, header_len = struct.unpack("<II", fixed)
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise CheckpointError(f"{path}: header is {len(blob)} bytes, expected {header_len}")
+        header = json.loads(blob.decode("utf-8"))
         if header.get("kind") != kind:
             raise CheckpointError(f"{path}: expected kind {kind!r}, got {header.get('kind')!r}")
         payload = fh.read()
@@ -63,6 +70,11 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(payload):
+            raise CheckpointError(
+                f"{path}: array {entry['name']!r} needs bytes {start}..{start + 8 * count} "
+                f"of a {len(payload)}-byte payload"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).copy()
     return header, arrays

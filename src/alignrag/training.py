@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import QASample, evidence_texts
-from .decoder import DecoderParams, decoder_shapes
-from .encoder import EncoderParams, INIT_SCALE
+from .decoder import DecoderParams, init_decoder_params
+from .encoder import EncoderParams, init_encoder_params, values_of
 from .errors import (
     DimMismatch,
     EmptyInput,
@@ -65,7 +65,6 @@ class TrainConfig:
     tau: float = -1.0
     max_len: int = 32
     hash_buckets: int = 64
-    grad_check: bool = False
     freeze_encoder: bool = False
     differentiable_weights: bool = False
     oracle_evidence: bool = False
@@ -82,7 +81,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        # Checkpoints written before the ignored grad_check flag was removed
+        # still carry it in their stored config.
+        return cls(**{k: v for k, v in d.items() if k != "grad_check"})
 
 
 @dataclass
@@ -106,16 +107,10 @@ class Checkpoint:
 
 
 def init_params(vocab_size: int, dim: int, hidden: int, seed: int) -> dict[str, np.ndarray]:
-    """Seed-reproducible parameter set for encoder plus decoder."""
-    enc_rng = np.random.default_rng(seed)
-    dec_rng = np.random.default_rng(seed + 1)
-    params = {"enc_embed": enc_rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))}
-    for name, shape in sorted(decoder_shapes(vocab_size, dim, hidden).items()):
-        if name.startswith("b_"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = dec_rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-    return params
+    """Seed-reproducible parameter set: encoder from seed, decoder from seed + 1."""
+    enc = init_encoder_params(vocab_size, dim=dim, seed=seed)
+    dec = init_decoder_params(vocab_size, dim, hidden=hidden, seed=seed + 1)
+    return {"enc_embed": enc.embedding, **dec.tensors}
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +138,7 @@ def nll_loss(step_distributions, target_tokens) -> float:
 
 def consistency_loss(h_gen, e, eps: float = CONS_EPS) -> float:
     """Smoothed Euclidean distance: sqrt(||h_gen - e||^2 + eps) - sqrt(eps)."""
-    hv = np.asarray(getattr(h_gen, "values", h_gen), dtype=np.float64)
-    ev = np.asarray(getattr(e, "values", e), dtype=np.float64)
+    hv, ev = values_of(h_gen), values_of(e)
     if hv.shape != ev.shape:
         raise DimMismatch(f"dims differ: {hv.shape} vs {ev.shape}")
     if eps <= 0:
@@ -409,7 +403,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference utilities (used by tests and the grad_check toggle).
+# Finite-difference utilities (used by the gradient-check tests).
 # ---------------------------------------------------------------------------
 
 

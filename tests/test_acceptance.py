@@ -16,9 +16,8 @@ import pytest
 from alignrag import cli
 from alignrag.aggregation import normalize_weights
 from alignrag.data import SyntheticSpec, evidence_texts, generate_synthetic, save_samples, write_corpus
-from alignrag.encoder import SemanticVector
 from alignrag.evaluation import evaluate, sweep_alignment_weight, sweep_top_k
-from alignrag.index import EvidenceChunk, EvidenceIndex, top_k
+from alignrag.index import EvidenceIndex, top_k
 from alignrag.metrics import bleu, exact_match, rouge_l, token_f1
 from alignrag.training import (
     TrainConfig,
@@ -47,11 +46,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     n, dim = 1000, 64
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    entries = [
-        EvidenceChunk(id=i, text=f"chunk {i}", vector=SemanticVector(vecs[i], normalized=True))
-        for i in range(n)
-    ]
-    index = EvidenceIndex(entries, encoder_fingerprint="acceptance")
+    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs, encoder_fingerprint="acceptance")
     start = time.perf_counter()
     mismatches = 0
     for _ in range(100):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrag.aggregation import aggregate, normalize_weights
-from alignrag.encoder import SemanticVector
 from alignrag.errors import EmptyScores, NonFiniteBeta, UnknownChunkId
-from alignrag.index import EvidenceChunk, EvidenceIndex
+from alignrag.index import EvidenceIndex
 
 score_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -93,11 +92,7 @@ class TestAggregate:
         vecs = rng.normal(size=(4, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         self.vecs = vecs
-        entries = [
-            EvidenceChunk(id=i, text=f"c{i}", vector=SemanticVector(vecs[i], normalized=True))
-            for i in range(4)
-        ]
-        return EvidenceIndex(entries, encoder_fingerprint="test")
+        return EvidenceIndex(range(4), [f"c{i}" for i in range(4)], vecs, encoder_fingerprint="test")
 
     def test_matches_manual_weighted_sum(self, index):
         w = normalize_weights([(0, 0.9), (2, 0.4), (3, -0.1)], 1.5)

@@ -146,6 +146,15 @@ class TestTrain:
         assert rc == cli.EXIT_IO
         assert "momentum" in capsys.readouterr().err
 
+    def test_removed_grad_check_key_is_io_error(self, workdir, capsys):
+        bad = workdir["root"] / "grad_check_config.json"
+        bad.write_text(json.dumps({"training": {"grad_check": True}}))
+        rc = cli.main(
+            ["train", str(workdir["data"]), "--out", str(workdir["root"] / "x.ckpt"), "--config", str(bad)]
+        )
+        assert rc == cli.EXIT_IO
+        assert "grad_check" in capsys.readouterr().err
+
     def test_malformed_config_json_is_io_error(self, workdir, capsys):
         bad = workdir["root"] / "broken.json"
         bad.write_text("{not json")
@@ -305,3 +314,111 @@ class TestSweep:
             outs.append(out)
         assert outs[0].with_suffix(".json").read_bytes() == outs[1].with_suffix(".json").read_bytes()
         assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
+
+
+class TestCheckpointDefaults:
+    """generate, eval and sweep all take unset settings from the checkpoint."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def ckpt(workdir):
+        out = workdir["root"] / "k2.ckpt"
+        rc = cli.main(
+            [
+                "train",
+                str(workdir["data"]),
+                "--out",
+                str(out),
+                "--config",
+                str(workdir["config"]),
+                "--top-k",
+                "2",
+                "--max-len",
+                "5",
+            ]
+        )
+        assert rc == cli.EXIT_OK
+        return out
+
+    def test_eval_and_sweep_resolve_identically(self, workdir, ckpt):
+        root = workdir["root"]
+        rc = cli.main(["eval", str(workdir["data"]), "--checkpoint", str(ckpt), "--out", str(root / "k2_report.json")])
+        assert rc == cli.EXIT_OK
+        rc = cli.main(
+            [
+                "sweep",
+                str(workdir["data"]),
+                "--checkpoint",
+                str(ckpt),
+                "--param",
+                "beta",
+                "--grid",
+                "0,1,4",
+                "--out",
+                str(root / "k2_sweep"),
+            ]
+        )
+        assert rc == cli.EXIT_OK
+        eval_config = json.loads((root / "k2_report.json.config.json").read_text())
+        sweep_config = json.loads((root / "k2_sweep.config.json").read_text())
+        assert eval_config == sweep_config
+        assert (eval_config["top_k"], eval_config["max_len"], eval_config["beta"]) == (2, 5, 1.5)
+        sweep = json.loads((root / "k2_sweep.json").read_text())
+        assert [(r["config"]["top_k"], r["config"]["max_len"]) for r in sweep["reports"]] == [(2, 5)] * 3
+
+    def test_generate_uses_checkpoint_top_k_and_max_len(self, workdir, ckpt, capsys):
+        rc = cli.main(
+            [
+                "generate",
+                "--checkpoint",
+                str(ckpt),
+                "--corpus",
+                str(workdir["corpus"]),
+                "--question",
+                workdir["question"],
+                "--format",
+                "json",
+            ]
+        )
+        assert rc == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["evidence"]) == 2
+        assert len(doc["answer"].split()) <= 5
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("keep", [-16, 20], ids=["payload", "header"])
+    def test_truncated_checkpoint_is_io_error(self, workdir, keep, capsys):
+        bad = workdir["root"] / "truncated.ckpt"
+        bad.write_bytes(workdir["ckpt"].read_bytes()[:keep])
+        rc = cli.main(["eval", str(workdir["data"]), "--checkpoint", str(bad)])
+        assert rc == cli.EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
+    def test_truncated_index_is_io_error(self, workdir, capsys):
+        path = workdir["root"] / "truncated.idx"
+        rc = cli.main(["index", str(workdir["corpus"]), "--out", str(path), "--config", str(workdir["config"])])
+        assert rc == cli.EXIT_OK
+        path.write_bytes(path.read_bytes()[:-16])
+        rc = cli.main(["query", str(path), workdir["question"]])
+        assert rc == cli.EXIT_IO
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["5", '{"id": "x", "text": "alpha"}'], ids=["non-object", "non-integer-id"]
+    )
+    def test_malformed_corpus_line_is_io_error(self, workdir, line, capsys):
+        path = workdir["root"] / "bad_corpus.jsonl"
+        path.write_text('{"id": 0, "text": "alpha"}\n' + line + "\n")
+        rc = cli.main(["index", str(path), "--out", str(workdir["root"] / "bad.idx")])
+        assert rc == cli.EXIT_IO
+        assert ":2:" in capsys.readouterr().err
+
+    def test_non_integer_supporting_fact_is_io_error(self, workdir, capsys):
+        records = json.loads(workdir["data"].read_text())
+        records[0]["supporting_facts"][0][1] = "first"
+        path = workdir["root"] / "bad_data.json"
+        path.write_text(json.dumps(records))
+        rc = cli.main(["eval", str(path), "--checkpoint", str(workdir["ckpt"])])
+        assert rc == cli.EXIT_IO
+        assert "supporting fact" in capsys.readouterr().err

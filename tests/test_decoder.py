@@ -11,7 +11,7 @@ from alignrag.decoder import (
     pooled_generation_repr,
     step,
 )
-from alignrag.encoder import SemanticVector
+from alignrag.encoder import SemanticVector, encode
 from alignrag.errors import DimMismatch, EmptyTrace, InvalidTokenId
 from alignrag.vocab import EOS_ID
 
@@ -108,14 +108,14 @@ class TestStepOracles:
 class TestGreedyDecode:
     def test_deterministic(self, tiny_vocab, tiny_encoder, params, rng):
         ev = make_evidence(rng.normal(size=DIM))
-        a = decode_greedy("alpha bravo", ev, tiny_vocab, tiny_encoder, params)
-        b = decode_greedy("alpha bravo", ev, tiny_vocab, tiny_encoder, params)
+        a = decode_greedy(encode("alpha bravo", tiny_vocab, tiny_encoder), ev, params)
+        b = decode_greedy(encode("alpha bravo", tiny_vocab, tiny_encoder), ev, params)
         assert a.tokens == b.tokens
         np.testing.assert_array_equal(a.h_gen.values, b.h_gen.values)
 
     def test_respects_max_len(self, tiny_vocab, tiny_encoder, params, rng):
         ev = make_evidence(rng.normal(size=DIM))
-        trace = decode_greedy("alpha", ev, tiny_vocab, tiny_encoder, params, max_len=3)
+        trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=3)
         assert 1 <= len(trace.tokens) <= 3
         assert len(trace.step_states) == len(trace.tokens)
         assert len(trace.step_distributions) == len(trace.tokens)
@@ -126,7 +126,7 @@ class TestGreedyDecode:
         params.tensors["b_out"] = np.zeros(tiny_vocab.size)
         params.tensors["b_out"][EOS_ID] = 50.0
         ev = make_evidence(rng.normal(size=DIM))
-        trace = decode_greedy("alpha", ev, tiny_vocab, tiny_encoder, params, max_len=10)
+        trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=10)
         assert trace.tokens == [EOS_ID]
 
     def test_argmax_tie_goes_to_lowest_id(self, tiny_vocab, tiny_encoder, rng):
@@ -135,28 +135,25 @@ class TestGreedyDecode:
         params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=3)
         params.tensors["w_out"] = np.zeros_like(params.tensors["w_out"])
         ev = make_evidence(rng.normal(size=DIM))
-        trace = decode_greedy("alpha", ev, tiny_vocab, tiny_encoder, params, max_len=4)
+        trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=4)
         assert trace.tokens == [0, 0, 0, 0]
 
     def test_max_len_validated(self, tiny_vocab, tiny_encoder, params, rng):
         ev = make_evidence(rng.normal(size=DIM))
         with pytest.raises(ValueError):
-            decode_greedy("alpha", ev, tiny_vocab, tiny_encoder, params, max_len=0)
+            decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=0)
 
     def test_evidence_changes_output_distribution(
         self, tiny_vocab, tiny_encoder, params
     ):
         # The evidence vector enters every step's projection, so different
         # evidence must shift the first-step distribution.
-        t1 = decode_greedy(
-            "alpha", make_evidence([1.0, 0, 0, 0, 0, 0]), tiny_vocab, tiny_encoder, params
-        )
-        t2 = decode_greedy(
-            "alpha", make_evidence([-9.0, 5, 2, -7, 3, 1]), tiny_vocab, tiny_encoder, params
-        )
+        q = encode("alpha", tiny_vocab, tiny_encoder)
+        t1 = decode_greedy(q, make_evidence([1.0, 0, 0, 0, 0, 0]), params)
+        t2 = decode_greedy(q, make_evidence([-9.0, 5, 2, -7, 3, 1]), params)
         assert not np.allclose(t1.step_distributions[0], t2.step_distributions[0])
 
     def test_trace_keeps_evidence_reference(self, tiny_vocab, tiny_encoder, params, rng):
         ev = make_evidence(rng.normal(size=DIM))
-        trace = decode_greedy("alpha", ev, tiny_vocab, tiny_encoder, params)
+        trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params)
         assert trace.evidence_ref is ev

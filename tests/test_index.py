@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alignrag.encoder import SemanticVector, encode
+from alignrag.encoder import encode
 from alignrag.errors import (
     CheckpointError,
     DimMismatch,
@@ -10,10 +10,8 @@ from alignrag.errors import (
     EmptyInput,
 )
 from alignrag.index import (
-    EvidenceChunk,
     EvidenceIndex,
     RetrievalResult,
-    alignment_score,
     build_index,
     filter_by_threshold,
     load_index,
@@ -38,17 +36,14 @@ def index(tiny_vocab, tiny_encoder):
 def random_index(rng, n, dim):
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    entries = [
-        EvidenceChunk(id=i, text=f"chunk {i}", vector=SemanticVector(vecs[i], normalized=True))
-        for i in range(n)
-    ]
-    return EvidenceIndex(entries, encoder_fingerprint="test"), vecs
+    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs, encoder_fingerprint="test")
+    return index, vecs
 
 
 class TestBuild:
     def test_entries_sorted_by_id(self, tiny_vocab, tiny_encoder):
         idx = build_index(list(reversed(CORPUS)), tiny_vocab, tiny_encoder)
-        assert [c.id for c in idx.entries] == [0, 1, 2, 3, 4]
+        assert idx.ids.tolist() == [0, 1, 2, 3, 4]
 
     def test_duplicate_id_rejected(self, tiny_vocab, tiny_encoder):
         with pytest.raises(DuplicateId):
@@ -65,21 +60,7 @@ class TestBuild:
     def test_contains_and_chunk_lookup(self, index):
         assert 3 in index
         assert 99 not in index
-        assert index.chunk(3).text == "bravo bravo delta"
-
-
-class TestAlignmentScore:
-    def test_matches_cosine(self, rng):
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        expected = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert abs(alignment_score(a, b) - expected) < 1e-12
-
-    def test_zero_vector_scores_zero(self):
-        assert alignment_score(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            alignment_score(np.ones(3), np.ones(4))
+        assert index.text(3) == "bravo bravo delta"
 
 
 class TestTopK:
@@ -100,12 +81,15 @@ class TestTopK:
 
     def test_ties_broken_by_ascending_id(self):
         v = np.array([1.0, 0.0])
-        entries = [
-            EvidenceChunk(id=i, text=f"c{i}", vector=SemanticVector(v, normalized=True))
-            for i in (5, 2, 9)
-        ]
-        idx = EvidenceIndex(entries, encoder_fingerprint="test")
+        ids = (5, 2, 9)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], [v] * 3, encoder_fingerprint="test")
         assert [r.chunk_id for r in top_k(v, idx, 3)] == [2, 5, 9]
+
+    def test_zero_query_scores_zero(self, rng):
+        idx, _ = random_index(rng, 6, 3)
+        results = top_k(np.zeros(3), idx, 6)
+        assert [r.score for r in results] == [0.0] * 6
+        assert [r.chunk_id for r in results] == list(range(6))
 
     def test_k_larger_than_corpus_truncates(self, rng):
         idx, _ = random_index(rng, 4, 3)
@@ -151,9 +135,9 @@ class TestPersistence:
         path = tmp_path / "idx.bin"
         save_index(path, index, tiny_vocab, tiny_encoder)
         loaded, vocab2, params2 = load_index(path)
-        assert [c.id for c in loaded.entries] == [c.id for c in index.entries]
-        assert [c.text for c in loaded.entries] == [c.text for c in index.entries]
-        np.testing.assert_array_equal(loaded._matrix, index._matrix)
+        np.testing.assert_array_equal(loaded.ids, index.ids)
+        assert loaded.texts == index.texts
+        np.testing.assert_array_equal(loaded.matrix, index.matrix)
         np.testing.assert_array_equal(params2.embedding, tiny_encoder.embedding)
         assert vocab2.tokens == tiny_vocab.tokens
         assert loaded.encoder_fingerprint == index.encoder_fingerprint
@@ -177,3 +161,25 @@ class TestPersistence:
         save_index(path, index, tiny_vocab, tiny_encoder)
         with pytest.raises(CheckpointError):
             read_container(path, "checkpoint")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda h, a: a.update(vectors=2 * a["vectors"]),
+            lambda h, a: a["vectors"].__setitem__((0, 0), np.nan),
+            lambda h, a: h["entries"][1].update(id=h["entries"][0]["id"]),
+            lambda h, a: h["entries"][1].update(id="1"),
+            lambda h, a: h.update(entry_count=h["entry_count"] + 1),
+        ],
+        ids=["non-unit-norm", "non-finite", "duplicate-id", "non-integer-id", "entry-count"],
+    )
+    def test_invalid_stored_index_rejected(self, tmp_path, index, tiny_vocab, tiny_encoder, corrupt):
+        from alignrag.serialization import read_container, write_container
+
+        path = tmp_path / "idx.bin"
+        save_index(path, index, tiny_vocab, tiny_encoder)
+        header, arrays = read_container(path, "index")
+        corrupt(header, arrays)
+        write_container(path, "index", {k: v for k, v in header.items() if k not in ("kind", "arrays")}, arrays)
+        with pytest.raises(CheckpointError):
+            load_index(path)

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from alignrag.data import QASample, SyntheticSpec, generate_synthetic
+from alignrag import training
+from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
+from alignrag.decoder import initial_state, pooled_generation_repr, step
+from alignrag.encoder import encode
 from alignrag.errors import DimMismatch, InvalidTokenId, LengthMismatch
+from alignrag.evaluation import retrieve
+from alignrag.index import build_index
+from alignrag.serialization import write_container
 from alignrag.training import (
     Checkpoint,
     LossBreakdown,
@@ -20,7 +26,7 @@ from alignrag.training import (
     save_checkpoint,
     train,
 )
-from alignrag.vocab import PAD_ID, Vocabulary
+from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
 
 def tiny_sample():
@@ -126,6 +132,46 @@ class TestConfig:
         assert TrainConfig.from_dict(cfg.as_dict()) == cfg
 
 
+class TestTapeInferenceParity:
+    """The training tape and the inference path compute the same forward."""
+
+    def test_multi_hop_sample_matches(self):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_samples=2, n_gold_evidence=2, n_distractors=6)
+        )
+        sample = samples[0]
+        config = TrainConfig(dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3)
+        chunks = evidence_texts(sample, include_title=config.include_title)
+        assert config.top_k < len(chunks)
+        vocab = Vocabulary.from_texts(
+            [sample.question, sample.answer] + [text for _, text in chunks], hash_buckets=8
+        )
+        params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+        ckpt = Checkpoint(config=config, vocab=vocab, params=params)
+
+        # Inference: retrieve, then teacher-forced decoder steps.
+        index = build_index(list(enumerate(text for _, text in chunks)), vocab, ckpt.encoder)
+        q = encode(sample.question, vocab, ckpt.encoder)
+        _, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
+        answer_ids = vocab.encode(sample.answer)
+        h = initial_state(q.values, ckpt.decoder)
+        dists, states = [], []
+        for tok in [BOS_ID] + answer_ids:
+            dist, h = step(tok, h, agg.vector.values, ckpt.decoder)
+            dists.append(dist)
+            states.append(h)
+        l_nll = nll_loss(dists, answer_ids + [EOS_ID])
+        l_cons = consistency_loss(pooled_generation_repr(states, ckpt.decoder), agg.vector)
+
+        tape = joint_loss(sample, vocab, params, config)
+        tensors = training._wrap_params(params)
+        q_tape = training._encode_tape(vocab.encode(sample.question), tensors["enc_embed"])
+        e_tape = training._evidence_tape(sample, vocab, tensors["enc_embed"], q_tape, config)
+        assert abs(tape.l_nll - l_nll) <= 1e-12
+        assert abs(tape.l_cons - l_cons) <= 1e-12
+        assert np.max(np.abs(e_tape.value - agg.vector.values)) <= 1e-12
+
+
 class TestInitParams:
     def test_deterministic_and_includes_encoder(self):
         a = init_params(20, dim=4, hidden=3, seed=9)
@@ -225,6 +271,18 @@ class TestTrain:
             before = joint_loss(s, ckpt.vocab, ckpt.params, config)
             after = joint_loss(s, loaded.vocab, loaded.params, loaded.config)
             assert before.l_joint == after.l_joint
+
+    def test_checkpoint_with_removed_grad_check_key_loads(self, run, tmp_path):
+        _, config, ckpt = run
+        header = {
+            "format_version": training.CHECKPOINT_FORMAT_VERSION,
+            "config": {**config.as_dict(), "grad_check": True},
+            "vocab": {"tokens": ckpt.vocab.tokens, "hash_buckets": ckpt.vocab.hash_buckets},
+            "log": [b.as_dict() for b in ckpt.log],
+        }
+        path = tmp_path / "old.ckpt"
+        write_container(path, "checkpoint", header, ckpt.params)
+        assert load_checkpoint(path).config == config
 
     def test_freeze_encoder_leaves_embedding_untouched(self):
         samples, _ = generate_synthetic(
