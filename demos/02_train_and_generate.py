@@ -6,12 +6,12 @@ so a correctly wired retrieve-weight-aggregate-decode pipeline can drive
 the training loss to zero. Takes a few seconds. Run with:
 python3 demos/02_train_and_generate.py
 """
-from alignrag.data import SyntheticSpec, generate_synthetic, evidence_texts
+from alignrag.data import SyntheticSpec, generate_synthetic
 from alignrag.decoder import decode_greedy
 from alignrag.encoder import encode
 from alignrag.evaluation import evaluate, retrieve
 from alignrag.index import build_index
-from alignrag.training import TrainConfig, train
+from alignrag.training import TrainConfig, sample_chunks, train
 
 
 def main() -> None:
@@ -45,13 +45,13 @@ def main() -> None:
     print("  (entry 0 is the loss at initialization, before any update)")
 
     print("\n== Generation, step by step for one sample ==")
-    chunks = evidence_texts(s, include_title=config.include_title)
+    chunks = sample_chunks(s, config)
     index = build_index(list(enumerate(text for _, text in chunks)), ckpt.vocab, ckpt.encoder)
     q = encode(s.question, ckpt.vocab, ckpt.encoder)
     results, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
     for r in results:
         print(f"  retrieved rank {r.rank}: {chunks[r.chunk_id][0]!r} (score {r.score:.3f})")
-    trace = decode_greedy(q, agg, ckpt.decoder)
+    trace = decode_greedy(q, agg, ckpt.params)
     print(f"  generated: {ckpt.vocab.decode(trace.tokens)!r}   (gold: {s.answer!r})")
 
     print("\n== Full evaluation ==")

@@ -4,7 +4,7 @@ testable against an independent oracle."""
 
 from .aggregation import EvidenceAggregate, EvidenceWeights, aggregate, normalize_weights
 from .data import QASample, SyntheticSpec, generate_synthetic, load_hotpotqa
-from .decoder import DecoderParams, GenerationTrace, decode_greedy, init_decoder_params
+from .decoder import GenerationTrace, decode_greedy, init_decoder_params
 from .encoder import EncoderParams, SemanticVector, encode, init_encoder_params
 from .evaluation import (
     EvalReport,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Checkpoint",
-    "DecoderParams",
     "EncoderParams",
     "EvalReport",
     "EvidenceAggregate",

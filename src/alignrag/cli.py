@@ -106,7 +106,7 @@ def cmd_index(args) -> int:
     _write_resolved_config(args.out, config)
     print(
         f"indexed {len(index)} chunks dim={index.dim} "
-        f"fingerprint={index.encoder_fingerprint}"
+        f"fingerprint={params.fingerprint()}"
     )
     return EXIT_OK
 
@@ -157,7 +157,7 @@ def cmd_generate(args) -> int:
     if agg is None:
         print(f"no results above tau={config.tau}", file=sys.stderr)
         return EXIT_EMPTY_FILTER
-    trace = decode_greedy(q, agg, ckpt.decoder, max_len=config.max_len)
+    trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
     answer = ckpt.vocab.decode(trace.tokens)
     alphas = dict(agg.source_weights.entries)
     doc = {
@@ -223,7 +223,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--lambda", dest="lambda_", type=float, default=None)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument("question")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("train", help="train on a HotpotQA-format dataset")
@@ -256,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--question", required=True)
     _add_common(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

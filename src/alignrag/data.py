@@ -106,7 +106,7 @@ class SyntheticSpec:
             raise InvalidSpec("multi-hop generation pairs samples; n_samples must be even")
 
 
-def load_hotpotqa(path, strict: bool = True) -> list[QASample]:
+def load_hotpotqa(path) -> list[QASample]:
     """Parse a HotpotQA-format JSON array into QASamples."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

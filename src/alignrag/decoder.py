@@ -3,11 +3,14 @@
 A single gated recurrent cell produces the generation state h_t; the
 evidence aggregate e is concatenated with h_t at EVERY step before the
 output projection, so the constraint is continuous rather than
-prefix-only. Decoding is greedy and fully deterministic.
+prefix-only. Decoding is greedy and fully deterministic. Every function
+reads its weights by name from one flat parameter mapping, a
+checkpoint's params.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +24,6 @@ DEFAULT_MAX_LEN = 32
 
 # Gate tensor names; decoder_shapes derives every tensor shape from them.
 _GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-
-
-@dataclass
-class DecoderParams:
-    """Recurrent cell, fusion/output projection, and pooling projection."""
-
-    tensors: dict = field(default_factory=dict)
-
-    @property
-    def hidden(self) -> int:
-        return self.tensors["w_z"].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tensors["w_z"].shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.tensors["w_out"].shape[0]
-
-    def __getitem__(self, name):
-        return self.tensors[name]
 
 
 def decoder_shapes(vocab_size: int, dim: int, hidden: int) -> dict[str, tuple]:
@@ -65,7 +46,7 @@ def decoder_shapes(vocab_size: int, dim: int, hidden: int) -> dict[str, tuple]:
 
 def init_decoder_params(
     vocab_size: int, dim: int, hidden: int = DEFAULT_HIDDEN, seed: int = 0
-) -> DecoderParams:
+) -> dict[str, np.ndarray]:
     """Seed-reproducible uniform init; biases (incl. output bias) start at zero."""
     rng = np.random.default_rng(seed)
     tensors = {}
@@ -74,7 +55,7 @@ def init_decoder_params(
             tensors[name] = np.zeros(shape)
         else:
             tensors[name] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-    return DecoderParams(tensors=tensors)
+    return tensors
 
 
 @dataclass
@@ -83,10 +64,9 @@ class GenerationTrace:
     step_states: list[np.ndarray]
     step_distributions: list[np.ndarray]
     h_gen: SemanticVector
-    evidence_ref: EvidenceAggregate
 
 
-def fuse(h: np.ndarray, e: np.ndarray, params: DecoderParams) -> np.ndarray:
+def fuse(h: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
     """Output logits from the concatenated (generation state, evidence)."""
     w_out = params["w_out"]
     if h.shape[0] + e.shape[0] != w_out.shape[1]:
@@ -97,13 +77,13 @@ def fuse(h: np.ndarray, e: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 
 def step(
-    prev_token: int, h_prev: np.ndarray, e: np.ndarray, params: DecoderParams
+    prev_token: int, h_prev: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One gated recurrent update followed by evidence-fused softmax."""
-    if not 0 <= prev_token < params.vocab_size:
+    if not 0 <= prev_token < params["w_out"].shape[0]:
         raise InvalidTokenId(f"token id {prev_token} outside vocabulary")
-    x = params["embed"][prev_token]
-    p = params.tensors
+    p = params
+    x = p["embed"][prev_token]
     z = _sigmoid(p["w_z"] @ x + p["u_z"] @ h_prev + p["b_z"])
     r = _sigmoid(p["w_r"] @ x + p["u_r"] @ h_prev + p["b_r"])
     h_cand = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h_prev) + p["b_h"])
@@ -116,11 +96,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def initial_state(query_vec: np.ndarray, params: DecoderParams) -> np.ndarray:
+def initial_state(query_vec: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.tanh(params["w_init"] @ query_vec)
 
 
-def pooled_generation_repr(step_states, params: DecoderParams) -> SemanticVector:
+def pooled_generation_repr(step_states, params: Mapping[str, np.ndarray]) -> SemanticVector:
     """Project the mean decoder state into the unified space and normalize."""
     if not step_states:
         raise EmptyTrace("no decoder states to pool")
@@ -134,20 +114,20 @@ def pooled_generation_repr(step_states, params: DecoderParams) -> SemanticVector
 def decode_greedy(
     q_vec,
     evidence: EvidenceAggregate,
-    dec_params: DecoderParams,
+    params: Mapping[str, np.ndarray],
     max_len: int = DEFAULT_MAX_LEN,
 ) -> GenerationTrace:
     """Greedy decode from the encoded query; argmax ties resolve to the lowest token id."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     e = evidence.vector.values
-    h = initial_state(values_of(q_vec), dec_params)
+    h = initial_state(values_of(q_vec), params)
     tokens: list[int] = []
     states: list[np.ndarray] = []
     dists: list[np.ndarray] = []
     prev = BOS_ID
     for _ in range(max_len):
-        dist, h = step(prev, h, e, dec_params)
+        dist, h = step(prev, h, e, params)
         tok = int(np.argmax(dist))  # first (lowest-id) max wins
         tokens.append(tok)
         states.append(h)
@@ -155,11 +135,7 @@ def decode_greedy(
         prev = tok
         if tok == EOS_ID:
             break
-    h_gen = pooled_generation_repr(states, dec_params)
+    h_gen = pooled_generation_repr(states, params)
     return GenerationTrace(
-        tokens=tokens,
-        step_states=states,
-        step_distributions=dists,
-        h_gen=h_gen,
-        evidence_ref=evidence,
+        tokens=tokens, step_states=states, step_distributions=dists, h_gen=h_gen
     )

@@ -1,13 +1,14 @@
 """Unified semantic encoder shared by queries and evidence.
 
-One trainable embedding table, mean pooling over token embeddings, then
-L2 normalization. The same parameters encode every piece of text, so
-query and evidence vectors live in a single comparable space.
+One embedding table, learned with the decoder, mean pooling over token
+embeddings, then L2 normalization. The same parameters encode every
+piece of text, so query and evidence vectors live in a single
+comparable space.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +46,11 @@ class EncoderParams:
     """Embedding table realizing the encoding function."""
 
     embedding: np.ndarray
-    trainable: bool = field(default=True)
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[0]
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.embedding.shape).encode())
-        h.update(np.ascontiguousarray(self.embedding).tobytes())
+        h.update(np.ascontiguousarray(self.embedding))
         return h.hexdigest()[:16]
 
 

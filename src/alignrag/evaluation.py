@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import EvidenceAggregate, aggregate, normalize_weights
-from .data import QASample, evidence_texts
+from .data import QASample
 from .decoder import decode_greedy
 from .encoder import encode
 from .errors import EmptyScores
 from .index import EvidenceIndex, RetrievalResult, build_index, filter_by_threshold, top_k
 from .metrics import MetricReport, bleu, exact_match, rouge_l, score_corpus, token_f1
-from .training import Checkpoint, TrainConfig
+from .training import Checkpoint, TrainConfig, sample_chunks
 from .vocab import tokenize
 
 REPORT_SCHEMA_VERSION = 1
@@ -100,65 +100,38 @@ def evaluate(
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
     config = config if config is not None else ckpt.config
-    vocab, enc, dec = ckpt.vocab, ckpt.encoder, ckpt.decoder
+    vocab, enc = ckpt.vocab, ckpt.encoder
     records = []
     preds: list[str] = []
-    golds: list[str] = []
-    consistencies: list[float] = []
-    support_rates: list[float] = []
-    n_failures = 0
     for sample in dataset:
-        chunks = evidence_texts(sample, include_title=config.include_title)
-        if config.oracle_evidence:
-            gold_titles = {t for t, _ in sample.supporting_facts}
-            chunks = [(t, text) for t, text in chunks if t in gold_titles]
+        chunks = sample_chunks(sample, config)
         index = build_index(list(enumerate(text for _, text in chunks)), vocab, enc)
         q = encode(sample.question, vocab, enc)
         k = len(index) if config.oracle_evidence else config.top_k
         results, agg = retrieve(q, index, k, config.tau, config.beta)
-        if agg is None:
-            n_failures += 1
-            preds.append("")
-            golds.append(sample.answer)
-            records.append(
+        # A retrieval failure generates "", which is scored like any prediction.
+        pred, retrieved, consistency, rate = "", [], None, None
+        if agg is not None:
+            trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
+            pred = vocab.decode(trace.tokens)
+            consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
+            rate = _support_rate(tokenize(pred), [index.text(r.chunk_id) for r in results])
+            alphas = dict(agg.source_weights.entries)
+            retrieved = [
                 {
-                    "id": sample.id,
-                    "retrieval_failure": True,
-                    "retrieved": [],
-                    "generated": "",
-                    "em": 0,
-                    "f1": 0.0,
-                    "bleu": 0.0,
-                    "rouge_l": 0.0,
-                    "consistency": None,
-                    "support_rate": None,
+                    "chunk_id": r.chunk_id,
+                    "title": chunks[r.chunk_id][0],
+                    "score": r.score,
+                    "alpha": alphas[r.chunk_id],
                 }
-            )
-            continue
-        trace = decode_greedy(q, agg, dec, max_len=config.max_len)
-        pred = vocab.decode(trace.tokens)
-        consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
-        retained_texts = [index.text(r.chunk_id) for r in results]
-        rate = _support_rate(tokenize(pred), retained_texts)
+                for r in results
+            ]
         preds.append(pred)
-        golds.append(sample.answer)
-        consistencies.append(consistency)
-        if rate is not None:
-            support_rates.append(rate)
-        alphas = dict(agg.source_weights.entries)
         records.append(
             {
                 "id": sample.id,
-                "retrieval_failure": False,
-                "retrieved": [
-                    {
-                        "chunk_id": r.chunk_id,
-                        "title": chunks[r.chunk_id][0],
-                        "score": r.score,
-                        "alpha": alphas[r.chunk_id],
-                    }
-                    for r in results
-                ],
+                "retrieval_failure": agg is None,
+                "retrieved": retrieved,
                 "generated": pred,
                 "em": exact_match(pred, sample.answer),
                 "f1": token_f1(pred, sample.answer),
@@ -168,13 +141,14 @@ def evaluate(
                 "support_rate": rate,
             }
         )
-    metrics = score_corpus(preds, golds)
+    consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
+    support_rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
     return EvalReport(
-        metrics=metrics,
+        metrics=score_corpus(preds, [s.answer for s in dataset]),
         config=config.as_dict(),
         checkpoint_fingerprint=checkpoint_fingerprint(ckpt),
         samples=records,
-        n_failures=n_failures,
+        n_failures=sum(r["retrieval_failure"] for r in records),
         mean_consistency=float(np.mean(consistencies)) if consistencies else None,
         mean_support_rate=float(np.mean(support_rates)) if support_rates else None,
     )

@@ -38,7 +38,7 @@ class RetrievalResult:
 class EvidenceIndex:
     """Chunk ids in ascending order, their texts, and an (N, dim) row matrix."""
 
-    def __init__(self, ids, texts: list[str], matrix: np.ndarray, encoder_fingerprint: str):
+    def __init__(self, ids, texts: list[str], matrix: np.ndarray):
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             raise EmptyCorpus("index needs at least one entry")
@@ -49,7 +49,6 @@ class EvidenceIndex:
             raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
         self.texts = [texts[i] for i in order]
         self.matrix = np.asarray(matrix, dtype=np.float64)[order]
-        self.encoder_fingerprint = encoder_fingerprint
 
     @property
     def dim(self) -> int:
@@ -83,12 +82,7 @@ def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceInd
         if not ids:
             raise EmptyInput(f"chunk {chunk_id}: text tokenized to nothing: {text!r}")
         rows.append(encode_ids(ids, params))
-    return EvidenceIndex(
-        [cid for cid, _ in corpus],
-        [text for _, text in corpus],
-        np.stack(rows),
-        encoder_fingerprint=params.fingerprint(),
-    )
+    return EvidenceIndex([cid for cid, _ in corpus], [text for _, text in corpus], np.stack(rows))
 
 
 def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
@@ -118,12 +112,16 @@ def filter_by_threshold(results: list[RetrievalResult], tau: float) -> list[Retr
 
 
 def save_index(path, index: EvidenceIndex, vocab: Vocabulary, params: EncoderParams) -> None:
-    """Self-contained index file: entries, vocabulary, and embedding table."""
+    """Self-contained index file: entries, vocabulary, and embedding table.
+
+    The header's encoder_fingerprint identifies params; it is informational
+    and never read back.
+    """
     header = {
         "format_version": INDEX_FORMAT_VERSION,
         "dim": index.dim,
         "entry_count": len(index),
-        "encoder_fingerprint": index.encoder_fingerprint,
+        "encoder_fingerprint": params.fingerprint(),
         "entries": [{"id": i, "text": t} for i, t in zip(index.ids.tolist(), index.texts)],
         "vocab": {"tokens": vocab.tokens, "hash_buckets": vocab.hash_buckets},
     }
@@ -133,25 +131,31 @@ def save_index(path, index: EvidenceIndex, vocab: Vocabulary, params: EncoderPar
 
 def load_index(path) -> tuple[EvidenceIndex, Vocabulary, EncoderParams]:
     header, arrays = read_container(path, "index")
-    vectors = arrays["vectors"]
-    entries = header["entries"]
-    shape = (header["entry_count"], header["dim"])
+    try:
+        vectors, embedding = arrays["vectors"], arrays["embedding"]
+        entries = header["entries"]
+        shape = (header["entry_count"], header["dim"])
+        ids = [meta["id"] for meta in entries]
+        texts = [meta["text"] for meta in entries]
+        vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed index header ({err!r})") from err
     if vectors.shape != shape or len(entries) != shape[0]:
         raise CheckpointError(
             f"{path}: {len(entries)} entries and vectors {vectors.shape}, header says {shape}"
+        )
+    if embedding.shape != (vocab.size, shape[1]):
+        raise CheckpointError(
+            f"{path}: embedding {embedding.shape} does not fit vocabulary {vocab.size} x dim {shape[1]}"
         )
     if not np.all(np.isfinite(vectors)):
         raise CheckpointError(f"{path}: non-finite entry vector")
     if np.any(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_NORM_TOL):
         raise CheckpointError(f"{path}: entry vector with non-unit norm")
-    ids = [meta["id"] for meta in entries]
     if not all(type(i) is int for i in ids):
         raise CheckpointError(f"{path}: non-integer chunk id")
     try:
-        index = EvidenceIndex(
-            ids, [meta["text"] for meta in entries], vectors, header["encoder_fingerprint"]
-        )
+        index = EvidenceIndex(ids, texts, vectors)
     except (DuplicateId, EmptyCorpus) as err:
         raise CheckpointError(f"{path}: {err}") from err
-    vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
-    return index, vocab, EncoderParams(embedding=arrays["embedding"])
+    return index, vocab, EncoderParams(embedding=embedding)

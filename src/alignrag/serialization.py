@@ -16,6 +16,7 @@ is fully deterministic, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -61,20 +62,29 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         blob = fh.read(header_len)
         if len(blob) != header_len:
             raise CheckpointError(f"{path}: header is {len(blob)} bytes, expected {header_len}")
-        header = json.loads(blob.decode("utf-8"))
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as err:  # invalid UTF-8 or invalid JSON
+            raise CheckpointError(f"{path}: undecodable header: {err}") from err
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("kind") != kind:
             raise CheckpointError(f"{path}: expected kind {kind!r}, got {header.get('kind')!r}")
         payload = fh.read()
+    try:
+        manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
+    except (KeyError, TypeError) as err:
+        raise CheckpointError(f"{path}: malformed array manifest ({err!r})") from err
+    # The arrays must tile the payload exactly, in manifest order.
+    end = 0
+    for name, shape, start in manifest:
+        if not all(type(d) is int and d >= 0 for d in shape) or start != end:
+            raise CheckpointError(f"{path}: array {name!r} has shape {shape} at offset {start}")
+        end += 8 * math.prod(shape)
+    if end != len(payload):
+        raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {len(payload)}")
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if start < 0 or start + 8 * count > len(payload):
-            raise CheckpointError(
-                f"{path}: array {entry['name']!r} needs bytes {start}..{start + 8 * count} "
-                f"of a {len(payload)}-byte payload"
-            )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+    for name, shape, start in manifest:
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=start)
+        arrays[name] = arr.reshape(shape).copy()
     return header, arrays

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import QASample, evidence_texts
-from .decoder import DecoderParams, init_decoder_params
+from .decoder import decoder_shapes, init_decoder_params
 from .encoder import EncoderParams, init_encoder_params, values_of
 from .errors import (
+    CheckpointError,
     DimMismatch,
     EmptyInput,
     EmptyScores,
@@ -25,6 +26,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteLoss,
 )
+from .index import EvidenceIndex, filter_by_threshold, top_k
 from .serialization import read_container, write_container
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
@@ -95,22 +97,13 @@ class Checkpoint:
 
     @property
     def encoder(self) -> EncoderParams:
-        return EncoderParams(
-            embedding=self.params["enc_embed"], trainable=not self.config.freeze_encoder
-        )
-
-    @property
-    def decoder(self) -> DecoderParams:
-        return DecoderParams(
-            tensors={k: v for k, v in self.params.items() if k != "enc_embed"}
-        )
+        return EncoderParams(embedding=self.params["enc_embed"])
 
 
 def init_params(vocab_size: int, dim: int, hidden: int, seed: int) -> dict[str, np.ndarray]:
     """Seed-reproducible parameter set: encoder from seed, decoder from seed + 1."""
     enc = init_encoder_params(vocab_size, dim=dim, seed=seed)
-    dec = init_decoder_params(vocab_size, dim, hidden=hidden, seed=seed + 1)
-    return {"enc_embed": enc.embedding, **dec.tensors}
+    return {"enc_embed": enc.embedding, **init_decoder_params(vocab_size, dim, hidden, seed + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,37 +151,42 @@ def _encode_tape(ids, embed: ad.Tensor) -> ad.Tensor:
     return ad.l2_normalize(pooled)
 
 
-def _retained_evidence(sample: QASample, config: TrainConfig) -> list[tuple[str, str]]:
+def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]]:
+    """The (title, text) chunks a sample retrieves from, in training and evaluation alike.
+
+    include_title decides the chunk text; oracle_evidence keeps only the
+    gold (supporting-fact) chunks, which are then all retrieved, ranked
+    and thresholded by tau like any others.
+    """
     chunks = evidence_texts(sample, include_title=config.include_title)
     if config.oracle_evidence:
         gold = {t for t, _ in sample.supporting_facts}
         chunks = [(t, text) for t, text in chunks if t in gold]
-        if not chunks:
-            raise EmptyScores(f"sample {sample.id}: no gold evidence to force")
+    if not chunks:
+        raise EmptyScores(f"sample {sample.id}: no evidence chunks to retrieve from")
     return chunks
 
 
 def _evidence_tape(sample, vocab, embed: ad.Tensor, q: ad.Tensor, config):
-    """Score, select, weight, and aggregate evidence on the tape."""
-    chunks = _retained_evidence(sample, config)
+    """Select evidence as inference does, then weight and aggregate it on the tape."""
+    chunks = sample_chunks(sample, config)
     encoded = []
     for title, text in chunks:
         ids = vocab.encode(text)
         if not ids:
             raise EmptyInput(f"sample {sample.id}: chunk {title!r} tokenized to nothing")
         encoded.append(_encode_tape(ids, embed))
-    scores = [ad.dot(q, d) for d in encoded]
-    if config.oracle_evidence:
-        picked = list(range(len(chunks)))
-    else:
-        order = sorted(range(len(chunks)), key=lambda i: (-scores[i].item(), i))
-        picked = order[: config.top_k]
-        picked = [i for i in picked if scores[i].item() >= config.tau]
-        if not picked:
-            raise EmptyScores(f"sample {sample.id}: threshold {config.tau} retained nothing")
+    index = EvidenceIndex(
+        range(len(chunks)), [text for _, text in chunks], np.stack([d.value for d in encoded])
+    )
+    k = len(chunks) if config.oracle_evidence else config.top_k
+    picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
+    if not picked:
+        raise EmptyScores(f"sample {sample.id}: threshold {config.tau} retained nothing")
+    scores = [ad.dot(q, encoded[i]) for i in picked]
     # Softmax over beta-scaled scores, max-subtracted for stability.
-    m = max(scores[i].item() for i in picked)
-    weights = [ad.exp(ad.scale(ad.sub(scores[i], ad.const(m)), config.beta)) for i in picked]
+    m = max(s.item() for s in scores)
+    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
     total = weights[0]
     for w in weights[1:]:
         total = ad.add(total, w)
@@ -393,12 +391,20 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path, "checkpoint")
-    config = TrainConfig.from_dict(header["config"])
-    vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
-    log = [
-        LossBreakdown(l_nll=b["l_nll"], l_cons=b["l_cons"], lambda_=b["lambda"])
-        for b in header["log"]
-    ]
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        config.validate()
+        vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["hash_buckets"])
+        log = [
+            LossBreakdown(l_nll=b["l_nll"], l_cons=b["l_cons"], lambda_=b["lambda"])
+            for b in header["log"]
+        ]
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed checkpoint header ({err!r})") from err
+    shapes = decoder_shapes(vocab.size, config.dim, config.hidden)
+    shapes["enc_embed"] = (vocab.size, config.dim)
+    if {name: arr.shape for name, arr in arrays.items()} != shapes:
+        raise CheckpointError(f"{path}: arrays do not fit the stored config and vocabulary")
     return Checkpoint(config=config, vocab=vocab, params=arrays, log=log)
 
 

@@ -46,7 +46,7 @@ def test_criterion_1_retrieval_oracle_equivalence():
     n, dim = 1000, 64
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs, encoder_fingerprint="acceptance")
+    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs)
     start = time.perf_counter()
     mismatches = 0
     for _ in range(100):

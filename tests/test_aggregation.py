@@ -92,7 +92,7 @@ class TestAggregate:
         vecs = rng.normal(size=(4, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         self.vecs = vecs
-        return EvidenceIndex(range(4), [f"c{i}" for i in range(4)], vecs, encoder_fingerprint="test")
+        return EvidenceIndex(range(4), [f"c{i}" for i in range(4)], vecs)
 
     def test_matches_manual_weighted_sum(self, index):
         w = normalize_weights([(0, 0.9), (2, 0.4), (3, -0.1)], 1.5)

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrag import cli
 from alignrag.data import SyntheticSpec, generate_synthetic, save_samples, write_corpus
@@ -62,6 +68,12 @@ class TestIndex:
         rc = cli.main(["index", str(workdir["root"] / "nope.jsonl"), "--out", str(workdir["root"] / "x.idx")])
         assert rc == cli.EXIT_IO
         assert "error:" in capsys.readouterr().err
+
+    def test_format_flag_is_a_usage_error(self, workdir):
+        # Only query and generate print in a selectable format.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["index", str(workdir["corpus"]), "--out", str(workdir["root"] / "f.idx"), "--format", "json"])
+        assert exc.value.code == 2
 
 
 class TestQuery:
@@ -422,3 +434,36 @@ class TestMalformedInput:
         rc = cli.main(["eval", str(path), "--checkpoint", str(workdir["ckpt"])])
         assert rc == cli.EXIT_IO
         assert "supporting fact" in capsys.readouterr().err
+
+
+class TestCorruptHeader:
+    """One corrupted byte anywhere before a container's payload exits 0, 2 or 3, never a traceback."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def files(workdir):
+        index = workdir["root"] / "fuzz.idx"
+        rc = cli.main(["index", str(workdir["corpus"]), "--out", str(index), "--config", str(workdir["config"])])
+        assert rc == cli.EXIT_OK
+        return {"index": index, "checkpoint": workdir["ckpt"]}
+
+    @pytest.mark.parametrize("kind", ["index", "checkpoint"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_byte_corruption_exits_cleanly(self, workdir, files, kind, data):
+        raw = files[kind].read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        pos = data.draw(st.integers(0, header_end - 1), label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[pos]), label="byte")
+        corrupt = bytearray(raw)
+        corrupt[pos] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / kind
+            path.write_bytes(bytes(corrupt))
+            if kind == "index":
+                argv = ["query", str(path), workdir["question"]]
+            else:
+                argv = ["eval", str(workdir["data"]), "--checkpoint", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+        assert rc in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_EMPTY_FILTER)

@@ -35,16 +35,15 @@ def make_evidence(vec):
 class TestInit:
     def test_shapes(self, tiny_vocab, params):
         shapes = decoder_shapes(tiny_vocab.size, DIM, HID)
-        assert set(params.tensors) == set(shapes)
+        assert set(params) == set(shapes)
         for name, shape in shapes.items():
             assert params[name].shape == shape
-        assert params.hidden == HID
-        assert params.dim == DIM
-        assert params.vocab_size == tiny_vocab.size
+        assert params["w_z"].shape == (HID, DIM)
+        assert params["w_out"].shape[0] == tiny_vocab.size
 
     def test_deterministic_and_biases_zero(self, tiny_vocab, params):
         again = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=3)
-        for name in params.tensors:
+        for name in params:
             assert np.array_equal(params[name], again[name])
         for name in ("b_z", "b_r", "b_h", "b_out"):
             assert np.all(params[name] == 0.0)
@@ -64,7 +63,7 @@ class TestStepOracles:
         # Independent re-derivation of the gated update with plain numpy.
         h_prev, e = rng.normal(size=HID), rng.normal(size=DIM)
         tok = 4
-        p = params.tensors
+        p = params
         x = p["embed"][tok]
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         z = sig(p["w_z"] @ x + p["u_z"] @ h_prev + p["b_z"])
@@ -84,7 +83,7 @@ class TestStepOracles:
         with pytest.raises(InvalidTokenId):
             step(-1, h, e, params)
         with pytest.raises(InvalidTokenId):
-            step(params.vocab_size, h, e, params)
+            step(params["w_out"].shape[0], h, e, params)
 
     def test_initial_state_oracle(self, params, rng):
         q = rng.normal(size=DIM)
@@ -123,8 +122,8 @@ class TestGreedyDecode:
     def test_stops_at_eos(self, tiny_vocab, tiny_encoder, rng):
         # Bias the output layer so EOS dominates: decoding must stop at step 1.
         params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=3)
-        params.tensors["b_out"] = np.zeros(tiny_vocab.size)
-        params.tensors["b_out"][EOS_ID] = 50.0
+        params["b_out"] = np.zeros(tiny_vocab.size)
+        params["b_out"][EOS_ID] = 50.0
         ev = make_evidence(rng.normal(size=DIM))
         trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=10)
         assert trace.tokens == [EOS_ID]
@@ -133,7 +132,7 @@ class TestGreedyDecode:
         # Zero output weights make every logit equal: the tie must resolve
         # to token id 0 at every step.
         params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=3)
-        params.tensors["w_out"] = np.zeros_like(params.tensors["w_out"])
+        params["w_out"] = np.zeros_like(params["w_out"])
         ev = make_evidence(rng.normal(size=DIM))
         trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=4)
         assert trace.tokens == [0, 0, 0, 0]
@@ -152,8 +151,3 @@ class TestGreedyDecode:
         t1 = decode_greedy(q, make_evidence([1.0, 0, 0, 0, 0, 0]), params)
         t2 = decode_greedy(q, make_evidence([-9.0, 5, 2, -7, 3, 1]), params)
         assert not np.allclose(t1.step_distributions[0], t2.step_distributions[0])
-
-    def test_trace_keeps_evidence_reference(self, tiny_vocab, tiny_encoder, params, rng):
-        ev = make_evidence(rng.normal(size=DIM))
-        trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params)
-        assert trace.evidence_ref is ev

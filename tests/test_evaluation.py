@@ -69,6 +69,17 @@ class TestEvaluate:
             assert rec["retrieval_failure"]
             assert rec["generated"] == ""
 
+    def test_failure_record_scored_like_corpus(self, trained):
+        # "The" normalises to an empty answer, which the empty prediction matches.
+        samples, ckpt = trained
+        sample = dataclasses.replace(samples[0], answer="The")
+        report = evaluate([sample], ckpt, dataclasses.replace(ckpt.config, tau=2.0))
+        rec = report.samples[0]
+        assert rec["retrieval_failure"]
+        assert (rec["em"], rec["f1"]) == (1, 1.0)
+        m = report.metrics
+        assert [100 * rec[k] for k in ("em", "f1", "bleu", "rouge_l")] == [m.em, m.f1, m.bleu, m.rouge_l]
+
     def test_empty_dataset_rejected(self, trained):
         _, ckpt = trained
         with pytest.raises(EmptyScores):

@@ -36,7 +36,7 @@ def index(tiny_vocab, tiny_encoder):
 def random_index(rng, n, dim):
     vecs = rng.normal(size=(n, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs, encoder_fingerprint="test")
+    index = EvidenceIndex(range(n), [f"chunk {i}" for i in range(n)], vecs)
     return index, vecs
 
 
@@ -82,7 +82,7 @@ class TestTopK:
     def test_ties_broken_by_ascending_id(self):
         v = np.array([1.0, 0.0])
         ids = (5, 2, 9)
-        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], [v] * 3, encoder_fingerprint="test")
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], [v] * 3)
         assert [r.chunk_id for r in top_k(v, idx, 3)] == [2, 5, 9]
 
     def test_zero_query_scores_zero(self, rng):
@@ -140,7 +140,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.matrix, index.matrix)
         np.testing.assert_array_equal(params2.embedding, tiny_encoder.embedding)
         assert vocab2.tokens == tiny_vocab.tokens
-        assert loaded.encoder_fingerprint == index.encoder_fingerprint
+        assert params2.fingerprint() == tiny_encoder.fingerprint()
         # Retrieval behaves identically after the round trip.
         q = encode("alpha charlie", tiny_vocab, tiny_encoder)
         assert [r.chunk_id for r in top_k(q, loaded, 3)] == [

@@ -23,6 +23,7 @@ from alignrag.training import (
     nll_loss,
     numerical_gradient,
     relative_error,
+    sample_chunks,
     save_checkpoint,
     train,
 )
@@ -135,33 +136,46 @@ class TestConfig:
 class TestTapeInferenceParity:
     """The training tape and the inference path compute the same forward."""
 
-    def test_multi_hop_sample_matches(self):
+    @pytest.mark.parametrize(
+        "overrides, n_kept",
+        [
+            ({}, 3),
+            ({"tau": 0.9}, 2),
+            ({"oracle_evidence": True}, 2),
+            ({"oracle_evidence": True, "tau": 0.9}, 1),
+        ],
+        ids=["top_k", "tau-cuts-top_k", "oracle", "oracle-tau"],
+    )
+    def test_multi_hop_sample_matches(self, overrides, n_kept):
         samples, _ = generate_synthetic(
             SyntheticSpec(seed=4, n_samples=2, n_gold_evidence=2, n_distractors=6)
         )
         sample = samples[0]
-        config = TrainConfig(dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3)
-        chunks = evidence_texts(sample, include_title=config.include_title)
-        assert config.top_k < len(chunks)
+        config = TrainConfig(dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3, **overrides)
+        all_chunks = evidence_texts(sample, include_title=config.include_title)
+        assert config.top_k < len(all_chunks)
         vocab = Vocabulary.from_texts(
-            [sample.question, sample.answer] + [text for _, text in chunks], hash_buckets=8
+            [sample.question, sample.answer] + [text for _, text in all_chunks], hash_buckets=8
         )
         params = init_params(vocab.size, config.dim, config.hidden, seed=5)
         ckpt = Checkpoint(config=config, vocab=vocab, params=params)
 
         # Inference: retrieve, then teacher-forced decoder steps.
+        chunks = sample_chunks(sample, config)
         index = build_index(list(enumerate(text for _, text in chunks)), vocab, ckpt.encoder)
         q = encode(sample.question, vocab, ckpt.encoder)
-        _, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
+        k = len(chunks) if config.oracle_evidence else config.top_k
+        results, agg = retrieve(q, index, k, config.tau, config.beta)
+        assert len(results) == n_kept  # tau=0.9 cuts the top 3 to 2, and the 2 gold chunks to 1
         answer_ids = vocab.encode(sample.answer)
-        h = initial_state(q.values, ckpt.decoder)
+        h = initial_state(q.values, params)
         dists, states = [], []
         for tok in [BOS_ID] + answer_ids:
-            dist, h = step(tok, h, agg.vector.values, ckpt.decoder)
+            dist, h = step(tok, h, agg.vector.values, params)
             dists.append(dist)
             states.append(h)
         l_nll = nll_loss(dists, answer_ids + [EOS_ID])
-        l_cons = consistency_loss(pooled_generation_repr(states, ckpt.decoder), agg.vector)
+        l_cons = consistency_loss(pooled_generation_repr(states, params), agg.vector)
 
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
