@@ -104,6 +104,15 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
     )
 
 
+def vecmat(v: Tensor, m: Tensor) -> Tensor:
+    """(r,) vector times (r, c) matrix."""
+    return Tensor(
+        v.value @ m.value,
+        parents=(v, m),
+        grad_fns=(lambda g: m.value @ g, lambda g: np.outer(v.value, g)),
+    )
+
+
 def dot(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(
         a.value @ b.value,
@@ -150,13 +159,17 @@ def element(v: Tensor, i: int) -> Tensor:
     return Tensor(v.value[i], parents=(v,), grad_fns=(grad_v,))
 
 
-def mean_rows(m: Tensor) -> Tensor:
-    """Mean over axis 0 of a (k, n) matrix."""
-    k = m.value.shape[0]
+def segment_mean(m: Tensor, lengths) -> Tensor:
+    """Mean of each run of consecutive rows: segment i is the next lengths[i] rows of m."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m.value.shape[0]:
+        raise ValueError("segments must be non-empty and cover every row exactly once")
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    counts = lengths[:, None].astype(np.float64)
     return Tensor(
-        m.value.mean(axis=0),
+        np.add.reduceat(m.value, starts, axis=0) / counts,
         parents=(m,),
-        grad_fns=(lambda g: np.tile(g / k, (k, 1)),),
+        grad_fns=(lambda g: np.repeat(g / counts, lengths, axis=0),),
     )
 
 
@@ -196,6 +209,17 @@ def reciprocal(t: Tensor) -> Tensor:
 def l2_normalize(v: Tensor) -> Tensor:
     norm = sqrt(dot(v, v))
     return mul(v, reciprocal(norm))
+
+
+def l2_normalize_rows(m: Tensor) -> Tensor:
+    """Each row of a (k, n) matrix divided by its Euclidean norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", m.value, m.value))[:, None]
+    out = m.value / norms
+    return Tensor(
+        out,
+        parents=(m,),
+        grad_fns=(lambda g: (g - out * np.sum(g * out, axis=1, keepdims=True)) / norms,),
+    )
 
 
 def log_softmax(logits: Tensor) -> Tensor:

@@ -77,7 +77,12 @@ def resolve_config(
         if val is not None:
             values[key] = val
     defaults = dataclasses.asdict(base if base is not None else TrainConfig())
-    return TrainConfig(**{**defaults, **values})
+    config = TrainConfig(**{**defaults, **values})
+    try:
+        config.validate()
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"invalid settings: {err}") from err
+    return config
 
 
 def _write_resolved_config(out_path: str, config: TrainConfig) -> None:

@@ -145,12 +145,6 @@ def consistency_loss(h_gen, e, eps: float = CONS_EPS) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _encode_tape(ids, embed: ad.Tensor) -> ad.Tensor:
-    rows = ad.gather_rows(embed, ids)
-    pooled = ad.mean_rows(rows)
-    return ad.l2_normalize(pooled)
-
-
 def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]]:
     """The (title, text) chunks a sample retrieves from, in training and evaluation alike.
 
@@ -167,37 +161,60 @@ def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]
     return chunks
 
 
-def _evidence_tape(sample, vocab, embed: ad.Tensor, q: ad.Tensor, config):
-    """Select evidence as inference does, then weight and aggregate it on the tape."""
+@dataclass
+class _PreparedSample:
+    """A sample tokenized once: what the tape reads of it at every step."""
+
+    id: str
+    ids: np.ndarray  # question token ids, then each chunk's, concatenated
+    lengths: list[int]  # the question's length, then each chunk's
+    texts: list[str]  # chunk texts, in sample_chunks order
+    answer_ids: list[int]
+    # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
+    # therefore depend on no trainable parameter.
+    frozen: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _prepare(sample, vocab: Vocabulary, config: TrainConfig) -> _PreparedSample:
+    """Tokenize a sample's question, chunks and answer; a prepared sample is returned as is."""
+    if isinstance(sample, _PreparedSample):
+        return sample
+    segments = [vocab.encode(sample.question)]
+    if not segments[0]:
+        raise EmptyInput(f"sample {sample.id}: empty question after tokenization")
     chunks = sample_chunks(sample, config)
-    encoded = []
     for title, text in chunks:
-        ids = vocab.encode(text)
-        if not ids:
+        segments.append(vocab.encode(text))
+        if not segments[-1]:
             raise EmptyInput(f"sample {sample.id}: chunk {title!r} tokenized to nothing")
-        encoded.append(_encode_tape(ids, embed))
-    index = EvidenceIndex(
-        range(len(chunks)), [text for _, text in chunks], np.stack([d.value for d in encoded])
+    answer_ids = vocab.encode(sample.answer)
+    if not answer_ids:
+        raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
+    return _PreparedSample(
+        id=sample.id,
+        ids=np.concatenate(segments).astype(np.intp),
+        lengths=[len(ids) for ids in segments],
+        texts=[text for _, text in chunks],
+        answer_ids=answer_ids,
     )
-    k = len(chunks) if config.oracle_evidence else config.top_k
-    picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
+
+
+def _evidence_tape(prep: _PreparedSample, embed: ad.Tensor, config: TrainConfig):
+    """Encode question and chunks as one batch, select evidence as inference does,
+    then weight and aggregate it on the tape. Returns (q, e)."""
+    rows = ad.l2_normalize_rows(ad.segment_mean(ad.gather_rows(embed, prep.ids), prep.lengths))
+    q = ad.row(rows, 0)
+    n = len(prep.texts)
+    index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
+    k = n if config.oracle_evidence else config.top_k
+    picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     if not picked:
-        raise EmptyScores(f"sample {sample.id}: threshold {config.tau} retained nothing")
-    scores = [ad.dot(q, encoded[i]) for i in picked]
-    # Softmax over beta-scaled scores, max-subtracted for stability.
-    m = max(s.item() for s in scores)
-    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
-    total = weights[0]
-    for w in weights[1:]:
-        total = ad.add(total, w)
-    inv_total = ad.reciprocal(total)
-    alphas = [ad.mul(w, inv_total) for w in weights]
+        raise EmptyScores(f"sample {prep.id}: threshold {config.tau} retained nothing")
+    d = ad.gather_rows(rows, picked)
+    alphas = ad.softmax(ad.scale(ad.matvec(d, q), config.beta))
     if not config.differentiable_weights:
-        alphas = [ad.detach(a) for a in alphas]
-    e = ad.mul(alphas[0], encoded[picked[0]])
-    for a, i in zip(alphas[1:], picked[1:]):
-        e = ad.add(e, ad.mul(a, encoded[i]))
-    return e
+        alphas = ad.detach(alphas)
+    return q, ad.vecmat(alphas, d)
 
 
 def _gru_step_tape(x: ad.Tensor, h: ad.Tensor, t: dict[str, ad.Tensor]) -> ad.Tensor:
@@ -210,22 +227,18 @@ def _gru_step_tape(x: ad.Tensor, h: ad.Tensor, t: dict[str, ad.Tensor]) -> ad.Te
     return ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, cand))
 
 
-def _loss_tape(sample: QASample, vocab: Vocabulary, tensors: dict[str, ad.Tensor], config):
+def _loss_tape(prep: _PreparedSample, tensors: dict[str, ad.Tensor], config):
     """Build the full joint-loss graph for one sample."""
-    q_ids = vocab.encode(sample.question)
-    if not q_ids:
-        raise EmptyInput(f"sample {sample.id}: empty question after tokenization")
-    embed = tensors["enc_embed"]
-    if config.freeze_encoder:
-        embed = ad.detach(embed)
-    q = _encode_tape(q_ids, embed)
-    e = _evidence_tape(sample, vocab, embed, q, config)
+    if prep.frozen is not None:
+        q, e = (ad.const(v) for v in prep.frozen)
+    else:
+        embed = tensors["enc_embed"]
+        if config.freeze_encoder:
+            embed = ad.detach(embed)
+        q, e = _evidence_tape(prep, embed, config)
 
-    answer_ids = vocab.encode(sample.answer)
-    if not answer_ids:
-        raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
-    inputs = [BOS_ID] + answer_ids
-    targets = answer_ids + [EOS_ID]
+    inputs = [BOS_ID] + prep.answer_ids
+    targets = prep.answer_ids + [EOS_ID]
 
     h = ad.tanh(ad.matvec(tensors["w_init"], q))
     nll_terms = []
@@ -261,7 +274,7 @@ def joint_loss(
     sample: QASample, vocab: Vocabulary, params: dict[str, np.ndarray], config: TrainConfig
 ) -> LossBreakdown:
     tensors = _wrap_params(params)
-    l_nll, l_cons, _ = _loss_tape(sample, vocab, tensors, config)
+    l_nll, l_cons, _ = _loss_tape(_prepare(sample, vocab, config), tensors, config)
     return LossBreakdown(l_nll=l_nll.item(), l_cons=l_cons.item(), lambda_=config.lambda_)
 
 
@@ -272,9 +285,12 @@ def joint_loss_and_grads(
     config: TrainConfig,
     component: str = "joint",
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Loss breakdown plus gradients of the chosen component (nll/cons/joint)."""
+    """Loss breakdown plus gradients of the chosen component (nll/cons/joint).
+
+    train() passes samples it has tokenized once; any other is prepared here.
+    """
     tensors = _wrap_params(params)
-    l_nll, l_cons, l_joint = _loss_tape(sample, vocab, tensors, config)
+    l_nll, l_cons, l_joint = _loss_tape(_prepare(sample, vocab, config), tensors, config)
     root = {"nll": l_nll, "cons": l_cons, "joint": l_joint}[component]
     ad.backward(root)
     grads = {
@@ -300,8 +316,9 @@ class Adam:
         self.t = 0
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Step every parameter that has a gradient; the others are left untouched."""
         self.t += 1
-        for name in sorted(params):
+        for name in sorted(grads):
             g = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
@@ -331,6 +348,20 @@ def _mean_breakdown(items: list[LossBreakdown], lambda_: float) -> LossBreakdown
     )
 
 
+def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_PreparedSample]:
+    """Tokenize every sample once; with a frozen encoder, also fix its q and e.
+
+    train() never passes a frozen enc_embed to Adam, so q and e are constants
+    of each sample: they are recorded once, by the code the joint path runs.
+    """
+    prepared = [_prepare(s, vocab, config) for s in dataset]
+    if config.freeze_encoder:
+        frozen_embed = ad.const(params["enc_embed"])
+        for prep in prepared:
+            prep.frozen = tuple(t.value for t in _evidence_tape(prep, frozen_embed, config))
+    return prepared
+
+
 def train(
     dataset: list[QASample], config: TrainConfig, vocab: Vocabulary | None = None
 ) -> Checkpoint:
@@ -347,7 +378,8 @@ def train(
     opt = Adam(lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
-    log = [_mean_breakdown([joint_loss(s, vocab, params, config) for s in dataset], config.lambda_)]
+    prepared = _prepare_dataset(dataset, vocab, params, config)
+    log = [_mean_breakdown([joint_loss(p, vocab, params, config) for p in prepared], config.lambda_)]
     _check_finite(log[0], "initialization")
 
     n = len(dataset)
@@ -355,12 +387,14 @@ def train(
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
-            batch = [dataset[i] for i in order[start : start + config.batch_size]]
+            batch = [prepared[i] for i in order[start : start + config.batch_size]]
             grad_sum: dict[str, np.ndarray] = {}
             for sample in batch:
                 breakdown, grads = joint_loss_and_grads(sample, vocab, params, config)
                 _check_finite(breakdown, f"sample {sample.id} (epoch {epoch})")
                 epoch_losses.append(breakdown)
+                if config.freeze_encoder:
+                    del grads["enc_embed"]
                 for name, g in grads.items():
                     grad_sum[name] = g if name not in grad_sum else grad_sum[name] + g
             mean_grads = {name: g / len(batch) for name, g in grad_sum.items()}
@@ -405,6 +439,9 @@ def load_checkpoint(path) -> Checkpoint:
     shapes["enc_embed"] = (vocab.size, config.dim)
     if {name: arr.shape for name, arr in arrays.items()} != shapes:
         raise CheckpointError(f"{path}: arrays do not fit the stored config and vocabulary")
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: non-finite values in array {name!r}")
     return Checkpoint(config=config, vocab=vocab, params=arrays, log=log)
 
 

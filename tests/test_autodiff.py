@@ -104,15 +104,46 @@ class TestLinear:
         arrays = {"v": rng.normal(size=5)}
         check_grads(lambda t: ad.exp(ad.element(t["v"], 3)), arrays)
 
-    def test_mean_rows_and_sum_all(self, rng):
+    def test_vecmat(self, rng):
+        arrays = {"v": rng.normal(size=3), "m": rng.normal(size=(3, 4))}
+        check_grads(lambda t: ad.sum_all(ad.tanh(ad.vecmat(t["v"], t["m"]))), arrays)
+
+    def test_segment_mean_single_segment_and_sum_all(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.mean_rows(t["m"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ad.tanh(ad.segment_mean(t["m"], [4]))), arrays)
+
+    def test_segment_mean_of_gathered_rows(self, rng):
+        arrays = {"m": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3))}
+        ids = [2, 0, 2, 4, 2, 1, 3]  # row 2 repeats within and across segments
+        lengths = [1, 3, 1, 2]  # two one-token segments
+        check_grads(
+            lambda t: ad.sum_all(
+                ad.mul(ad.segment_mean(ad.gather_rows(t["m"], ids), lengths), t["w"])
+            ),
+            arrays,
+        )
+        got = ad.segment_mean(ad.const(arrays["m"][ids]), lengths).value
+        bounds = np.cumsum([0] + lengths)
+        expected = [arrays["m"][ids[a:b]].mean(axis=0) for a, b in zip(bounds, bounds[1:])]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lengths", [[2, 0, 2], [2, 1], [2, 3], []])
+    def test_segment_mean_rejects_bad_segments(self, lengths):
+        with pytest.raises(ValueError):
+            ad.segment_mean(ad.const(np.ones((4, 2))), lengths)
 
 
 class TestComposite:
     def test_l2_normalize(self, rng):
         arrays = {"v": rng.normal(size=5), "w": rng.normal(size=5)}
         check_grads(lambda t: ad.dot(ad.l2_normalize(t["v"]), t["w"]), arrays)
+
+    def test_l2_normalize_rows(self, rng):
+        arrays = {"m": rng.normal(size=(3, 5)), "w": rng.normal(size=(3, 5))}
+        check_grads(lambda t: ad.sum_all(ad.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
+        got = ad.l2_normalize_rows(ad.const(arrays["m"])).value
+        for row, v in zip(got, arrays["m"]):
+            np.testing.assert_allclose(row, ad.l2_normalize(ad.const(v)).value, atol=1e-15)
 
     def test_log_softmax(self, rng):
         arrays = {"v": rng.normal(size=6)}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -434,6 +435,46 @@ class TestMalformedInput:
         rc = cli.main(["eval", str(path), "--checkpoint", str(workdir["ckpt"])])
         assert rc == cli.EXIT_IO
         assert "supporting fact" in capsys.readouterr().err
+
+
+    def test_non_finite_checkpoint_payload_is_io_error(self, workdir, capsys):
+        raw = bytearray(workdir["ckpt"].read_bytes())
+        payload_start = 12 + int.from_bytes(raw[8:12], "little")
+        raw[payload_start : payload_start + 8] = struct.pack("<d", float("nan"))
+        bad = workdir["root"] / "nan.ckpt"
+        bad.write_bytes(bytes(raw))
+        rc = cli.main(["eval", str(workdir["data"]), "--checkpoint", str(bad)])
+        assert rc == cli.EXIT_IO
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestInvalidSettings:
+    """A resolved setting that TrainConfig.validate() rejects exits 2 before any work."""
+
+    @staticmethod
+    def _argv(workdir, command):
+        root = workdir["root"]
+        ckpt = ["--checkpoint", str(workdir["ckpt"])]
+        return {
+            "index": ["index", str(workdir["corpus"]), "--out", str(root / "invalid.idx")],
+            "query": ["query", str(root / "invalid-query.idx"), workdir["question"]],
+            "train": ["train", str(workdir["data"]), "--out", str(root / "invalid.ckpt")],
+            "generate": ["generate", *ckpt, "--corpus", str(workdir["corpus"]),
+                         "--question", workdir["question"]],
+            "eval": ["eval", str(workdir["data"]), *ckpt],
+            "sweep": ["sweep", str(workdir["data"]), *ckpt, "--param", "beta", "--grid", "0,1,2",
+                      "--out", str(root / "invalid-sweep")],
+        }[command]
+
+    @pytest.mark.parametrize("flag", ["--top-k", "--max-len"])
+    @pytest.mark.parametrize("command", ["index", "query", "train", "generate", "eval", "sweep"])
+    def test_non_positive_setting_is_io_error(self, workdir, command, flag, capsys):
+        if command == "query":
+            rc = cli.main(["index", str(workdir["corpus"]), "--out", str(workdir["root"] / "invalid-query.idx")])
+            assert rc == cli.EXIT_OK
+        rc = cli.main(self._argv(workdir, command) + [flag, "0"])
+        assert rc == cli.EXIT_IO
+        assert "invalid settings" in capsys.readouterr().err
 
 
 class TestCorruptHeader:

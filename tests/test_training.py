@@ -1,15 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from alignrag import autodiff as ad
 from alignrag import training
 from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
 from alignrag.decoder import initial_state, pooled_generation_repr, step
 from alignrag.encoder import encode
 from alignrag.errors import DimMismatch, InvalidTokenId, LengthMismatch
 from alignrag.evaluation import retrieve
-from alignrag.index import build_index
+from alignrag.index import EvidenceIndex, build_index, filter_by_threshold, top_k
 from alignrag.serialization import write_container
 from alignrag.training import (
     Checkpoint,
@@ -133,31 +135,70 @@ class TestConfig:
         assert TrainConfig.from_dict(cfg.as_dict()) == cfg
 
 
+PARITY_CASES = pytest.mark.parametrize(
+    "overrides, n_kept",
+    [
+        ({}, 3),
+        ({"tau": 0.9}, 2),
+        ({"oracle_evidence": True}, 2),
+        ({"oracle_evidence": True, "tau": 0.9}, 1),
+    ],
+    ids=["top_k", "tau-cuts-top_k", "oracle", "oracle-tau"],
+)
+
+
+def per_chunk_evidence(sample, vocab, embed, config):
+    """Reference for the batched _evidence_tape: one tape subgraph per chunk, summed one by one."""
+
+    def encode(text):
+        ids = vocab.encode(text)
+        rows = ad.gather_rows(embed, ids)
+        pooled = ad.scale(ad.vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
+        return ad.l2_normalize(pooled)
+
+    q = encode(sample.question)
+    chunks = sample_chunks(sample, config)
+    encoded = [encode(text) for _, text in chunks]
+    texts = [text for _, text in chunks]
+    index = EvidenceIndex(range(len(chunks)), texts, np.stack([d.value for d in encoded]))
+    k = len(chunks) if config.oracle_evidence else config.top_k
+    picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
+    scores = [ad.dot(q, encoded[i]) for i in picked]
+    m = max(s.item() for s in scores)
+    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
+    total = weights[0]
+    for w in weights[1:]:
+        total = ad.add(total, w)
+    alphas = [ad.mul(w, ad.reciprocal(total)) for w in weights]
+    if not config.differentiable_weights:
+        alphas = [ad.detach(a) for a in alphas]
+    e = ad.mul(alphas[0], encoded[picked[0]])
+    for a, i in zip(alphas[1:], picked[1:]):
+        e = ad.add(e, ad.mul(a, encoded[i]))
+    return q, e
+
+
+def multi_hop_setup(overrides):
+    samples, _ = generate_synthetic(
+        SyntheticSpec(seed=4, n_samples=2, n_gold_evidence=2, n_distractors=6)
+    )
+    sample = samples[0]
+    config = TrainConfig(dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3, **overrides)
+    all_chunks = evidence_texts(sample, include_title=config.include_title)
+    assert config.top_k < len(all_chunks)
+    vocab = Vocabulary.from_texts(
+        [sample.question, sample.answer] + [text for _, text in all_chunks], hash_buckets=8
+    )
+    params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+    return sample, config, vocab, params
+
+
 class TestTapeInferenceParity:
     """The training tape and the inference path compute the same forward."""
 
-    @pytest.mark.parametrize(
-        "overrides, n_kept",
-        [
-            ({}, 3),
-            ({"tau": 0.9}, 2),
-            ({"oracle_evidence": True}, 2),
-            ({"oracle_evidence": True, "tau": 0.9}, 1),
-        ],
-        ids=["top_k", "tau-cuts-top_k", "oracle", "oracle-tau"],
-    )
+    @PARITY_CASES
     def test_multi_hop_sample_matches(self, overrides, n_kept):
-        samples, _ = generate_synthetic(
-            SyntheticSpec(seed=4, n_samples=2, n_gold_evidence=2, n_distractors=6)
-        )
-        sample = samples[0]
-        config = TrainConfig(dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3, **overrides)
-        all_chunks = evidence_texts(sample, include_title=config.include_title)
-        assert config.top_k < len(all_chunks)
-        vocab = Vocabulary.from_texts(
-            [sample.question, sample.answer] + [text for _, text in all_chunks], hash_buckets=8
-        )
-        params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+        sample, config, vocab, params = multi_hop_setup(overrides)
         ckpt = Checkpoint(config=config, vocab=vocab, params=params)
 
         # Inference: retrieve, then teacher-forced decoder steps.
@@ -179,11 +220,29 @@ class TestTapeInferenceParity:
 
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
-        q_tape = training._encode_tape(vocab.encode(sample.question), tensors["enc_embed"])
-        e_tape = training._evidence_tape(sample, vocab, tensors["enc_embed"], q_tape, config)
+        prep = training._prepare(sample, vocab, config)
+        _, e_tape = training._evidence_tape(prep, tensors["enc_embed"], config)
         assert abs(tape.l_nll - l_nll) <= 1e-12
         assert abs(tape.l_cons - l_cons) <= 1e-12
         assert np.max(np.abs(e_tape.value - agg.vector.values)) <= 1e-12
+
+    @PARITY_CASES
+    def test_batched_evidence_matches_per_chunk_tape(self, overrides, n_kept):
+        sample, config, vocab, params = multi_hop_setup(overrides)
+        rng = np.random.default_rng(0)
+        u, v = ad.const(rng.normal(size=config.dim)), ad.const(rng.normal(size=config.dim))
+        prep = training._prepare(sample, vocab, config)
+        got, want = {}, {}
+        for out, evidence in (
+            (got, lambda embed: training._evidence_tape(prep, embed, config)),
+            (want, lambda embed: per_chunk_evidence(sample, vocab, embed, config)),
+        ):
+            embed = ad.param(params["enc_embed"])
+            q, e = evidence(embed)
+            ad.backward(ad.add(ad.dot(q, u), ad.dot(e, v)))
+            out.update(q=q.value, e=e.value, grad=embed.grad)
+        for name in ("q", "e", "grad"):
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
 
 
 class TestInitParams:
@@ -237,6 +296,46 @@ class TestGradientChecks:
             # allow a tiny absolute escape alongside the relative bound.
             ok = relative_error(analytic, numeric) < 1e-4 or abs(analytic - numeric) < 1e-9
             assert ok, (name, index, analytic, numeric)
+
+
+class TestFrozenEncoder:
+    def test_cached_evidence_matches_uncached_loss_and_grads(self):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_samples=4, n_gold_evidence=2, n_distractors=6)
+        )
+        config = TrainConfig(
+            dim=16, hidden=12, lambda_=1.0, beta=2.0, top_k=3, freeze_encoder=True
+        )
+        vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=8)
+        params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+        prepared = training._prepare_dataset(samples, vocab, params, config)
+        for sample, prep in zip(samples, prepared):
+            assert prep.frozen is not None
+            cached, cached_grads = joint_loss_and_grads(prep, vocab, params, config)
+            uncached, grads = joint_loss_and_grads(sample, vocab, params, config)
+            assert cached == uncached
+            assert sorted(cached_grads) == sorted(grads)
+            for name in grads:
+                assert np.array_equal(cached_grads[name], grads[name]), name
+
+    def test_frozen_embedding_never_reaches_the_optimiser(self, monkeypatch):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=11, n_samples=4, n_gold_evidence=1, n_distractors=4)
+        )
+        stepped = set()
+        update = training.Adam.update
+
+        def spy(self, params, grads):
+            stepped.update(grads)
+            return update(self, params, grads)
+
+        monkeypatch.setattr(training.Adam, "update", spy)
+        config = TrainConfig(seed=1, dim=12, hidden=10, epochs=2, batch_size=2)
+        train(samples, dataclasses.replace(config, freeze_encoder=True))
+        assert "w_out" in stepped and "enc_embed" not in stepped
+        stepped.clear()
+        train(samples, config)
+        assert "enc_embed" in stepped
 
 
 class TestTrain:
