@@ -203,11 +203,11 @@ def cmd_sweep(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     dataset = load_hotpotqa(args.data)
     config = resolve_config(args.config, _overrides(args), base=ckpt.config)
-    grid = [float(v) for v in args.grid.split(",")]
+    grid = args.grid.split(",")
     if args.param == "beta":
         sweep = sweep_alignment_weight(dataset, ckpt, grid, config)
     elif args.param == "top_k":
-        sweep = sweep_top_k(dataset, ckpt, [int(v) for v in grid], config)
+        sweep = sweep_top_k(dataset, ckpt, grid, config)
     else:
         raise SchemaError(f"unknown sweep parameter {args.param!r}")
     out = Path(args.out)

@@ -124,29 +124,40 @@ def load_hotpotqa(path) -> list[QASample]:
         for field in ("_id", "question", "answer", "supporting_facts", "context"):
             if field not in record:
                 raise SchemaError(f"{path}: record {rid} missing field {field!r}")
+        for field in ("_id", "question", "answer"):
+            _check_string(record[field], f"{path}: record {rid} field {field!r}")
         context = []
         for entry in record["context"]:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise SchemaError(f"{path}: record {rid} has a malformed context entry")
             title, sentences = entry
+            _check_string(title, f"{path}: record {rid} context title")
             if not isinstance(sentences, list):
                 raise SchemaError(f"{path}: record {rid} context {title!r}: sentences not a list")
-            context.append((str(title), [str(s) for s in sentences]))
+            for sentence in sentences:
+                _check_string(sentence, f"{path}: record {rid} context {title!r} sentence")
+            context.append((title, list(sentences)))
         facts = []
         for entry in record["supporting_facts"]:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and type(entry[1]) is int):
                 raise SchemaError(f"{path}: record {rid} has a malformed supporting fact")
-            facts.append((str(entry[0]), entry[1]))
+            _check_string(entry[0], f"{path}: record {rid} supporting fact title")
+            facts.append((entry[0], entry[1]))
         samples.append(
             QASample(
-                id=str(record["_id"]),
-                question=str(record["question"]),
-                answer=str(record["answer"]),
+                id=record["_id"],
+                question=record["question"],
+                answer=record["answer"],
                 context=context,
                 supporting_facts=facts,
             )
         )
     return samples
+
+
+def _check_string(value, where: str) -> None:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}: {value!r} is not a string")
 
 
 def save_samples(path, samples: list[QASample]) -> None:
@@ -206,7 +217,8 @@ def read_corpus(path) -> list[tuple[int, str]]:
                 raise SchemaError(f"{path}:{lineno}: corpus line needs 'id' and 'text'")
             if type(obj["id"]) is not int:
                 raise SchemaError(f"{path}:{lineno}: corpus id {obj['id']!r} is not an integer")
-            corpus.append((obj["id"], str(obj["text"])))
+            _check_string(obj["text"], f"{path}:{lineno}: corpus text")
+            corpus.append((obj["id"], obj["text"]))
     return corpus
 
 

@@ -1,6 +1,7 @@
 """Evidence-constrained autoregressive decoder.
 
-A single gated recurrent cell produces the generation state h_t; the
+A single gated recurrent cell, gru_cell, produces the generation state
+h_t for greedy decoding and for the training tape alike; the
 evidence aggregate e is concatenated with h_t at EVERY step before the
 output projection, so the constraint is continuous rather than
 prefix-only. Decoding is greedy and fully deterministic. Every function
@@ -76,20 +77,48 @@ def fuse(h: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]) -> np.n
     return w_out @ np.concatenate([h, e]) + params["b_out"]
 
 
+def fused_gates(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-gate weights stacked for gru_cell: [W_z; W_r; W_h], [b_z; b_r; b_h], [U_z; U_r].
+
+    They are stacked at run time, so parameter names and the checkpoint
+    format stay one tensor per gate.
+    """
+    p = params
+    return (
+        np.concatenate([p["w_z"], p["w_r"], p["w_h"]]),
+        np.concatenate([p["b_z"], p["b_r"], p["b_h"]]),
+        np.concatenate([p["u_z"], p["u_r"]]),
+    )
+
+
+def gru_cell(x_proj, h, b_x, u_zr, u_h):
+    """One gated recurrent update of a batch of states h (B, H).
+
+    x_proj is x [W_z; W_r; W_h]^T (B, 3H): it does not depend on h, so a
+    caller that knows every input computes it for all steps in one matmul.
+    Returns the new state and the gates (z, r, candidate) it was made from.
+    """
+    n = h.shape[1]
+    zr = _sigmoid(x_proj[:, : 2 * n] + h @ u_zr.T + b_x[: 2 * n])
+    z, r = zr[:, :n], zr[:, n:]
+    cand = np.tanh(x_proj[:, 2 * n :] + (r * h) @ u_h.T + b_x[2 * n :])
+    return (1.0 - z) * h + z * cand, z, r, cand
+
+
 def step(
     prev_token: int, h_prev: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One gated recurrent update followed by evidence-fused softmax."""
+    return _step(prev_token, h_prev, e, params, fused_gates(params))
+
+
+def _step(prev_token, h_prev, e, params, gates):
     if not 0 <= prev_token < params["w_out"].shape[0]:
         raise InvalidTokenId(f"token id {prev_token} outside vocabulary")
-    p = params
-    x = p["embed"][prev_token]
-    z = _sigmoid(p["w_z"] @ x + p["u_z"] @ h_prev + p["b_z"])
-    r = _sigmoid(p["w_r"] @ x + p["u_r"] @ h_prev + p["b_r"])
-    h_cand = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h_prev) + p["b_h"])
-    h = (1.0 - z) * h_prev + z * h_cand
-    dist = softmax(fuse(h, e, params))
-    return dist, h
+    w_x, b_x, u_zr = gates
+    x_proj = params["embed"][prev_token][None, :] @ w_x.T
+    h, *_ = gru_cell(x_proj, h_prev[None, :], b_x, u_zr, params["u_h"])
+    return softmax(fuse(h[0], e, params)), h[0]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -126,8 +155,9 @@ def decode_greedy(
     states: list[np.ndarray] = []
     dists: list[np.ndarray] = []
     prev = BOS_ID
+    gates = fused_gates(params)
     for _ in range(max_len):
-        dist, h = step(prev, h, e, params)
+        dist, h = _step(prev, h, e, params, gates)
         tok = int(np.argmax(dist))  # first (lowest-id) max wins
         tokens.append(tok)
         states.append(h)

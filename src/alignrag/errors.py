@@ -65,6 +65,10 @@ class SchemaError(AlignRagError):
     """A record is missing a required field or has the wrong shape."""
 
 
+class InvalidGrid(AlignRagError, ValueError):
+    """A sweep grid is not a strictly increasing list of numbers in its parameter's range."""
+
+
 class DanglingSupportingFact(AlignRagError):
     """A supporting fact names a title absent from the sample context."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .aggregation import EvidenceAggregate, aggregate, normalize_weights
 from .data import QASample
 from .decoder import decode_greedy
 from .encoder import encode
-from .errors import EmptyScores
+from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, build_index, filter_by_threshold, top_k
 from .metrics import MetricReport, bleu, exact_match, rouge_l, score_corpus, token_f1
 from .training import Checkpoint, TrainConfig, sample_chunks
@@ -154,12 +155,19 @@ def evaluate(
     )
 
 
-def _check_grid(grid, name: str, minimum=None) -> list[float]:
-    grid = [float(v) for v in grid]
+def _check_grid(grid, name: str, minimum=None, integer=False) -> list[float]:
+    try:
+        grid = [float(v) for v in grid]
+    except (TypeError, ValueError) as err:
+        raise InvalidGrid(f"{name} grid holds a non-number ({err})") from err
+    if not all(math.isfinite(v) for v in grid):
+        raise InvalidGrid(f"{name} grid values must be finite")
+    if integer and not all(v.is_integer() for v in grid):
+        raise InvalidGrid(f"{name} grid values must be integers")
     if any(b >= a for a, b in zip(grid[1:], grid)):
-        raise ValueError(f"{name} grid must be strictly increasing")
+        raise InvalidGrid(f"{name} grid must be strictly increasing")
     if minimum is not None and grid[0] < minimum:
-        raise ValueError(f"{name} grid minimum is {minimum}")
+        raise InvalidGrid(f"{name} grid minimum is {minimum}")
     return grid
 
 
@@ -172,7 +180,7 @@ def sweep_alignment_weight(
     """One evaluate() per beta, everything else fixed."""
     grid = _check_grid(beta_grid, "beta", minimum=0.0)
     if len(grid) < 3 or grid[0] != 0.0:
-        raise ValueError("beta grid needs >= 3 strictly increasing values starting at 0")
+        raise InvalidGrid("beta grid needs >= 3 strictly increasing values starting at 0")
     base = config if config is not None else ckpt.config
     reports = [
         evaluate(dataset, ckpt, dataclasses.replace(base, beta=b)) for b in grid
@@ -187,7 +195,7 @@ def sweep_top_k(
     config: TrainConfig | None = None,
 ) -> SweepResult:
     """One evaluate() per retrieval depth k, everything else fixed."""
-    grid = _check_grid([int(k) for k in k_grid], "top_k", minimum=1)
+    grid = _check_grid(k_grid, "top_k", minimum=1, integer=True)
     base = config if config is not None else ckpt.config
     reports = [
         evaluate(dataset, ckpt, dataclasses.replace(base, top_k=int(k))) for k in grid

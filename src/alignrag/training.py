@@ -28,7 +28,7 @@ from .errors import (
 )
 from .index import EvidenceIndex, filter_by_threshold, top_k
 from .serialization import read_container, write_container
-from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+from .vocab import PAD_ID, Vocabulary
 
 CHECKPOINT_FORMAT_VERSION = 1
 CONS_EPS = 1e-12
@@ -217,88 +217,73 @@ def _evidence_tape(prep: _PreparedSample, embed: ad.Tensor, config: TrainConfig)
     return q, ad.vecmat(alphas, d)
 
 
-def _gru_step_tape(x: ad.Tensor, h: ad.Tensor, t: dict[str, ad.Tensor]) -> ad.Tensor:
-    z = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_z"], x), ad.matvec(t["u_z"], h)), t["b_z"]))
-    r = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_r"], x), ad.matvec(t["u_r"], h)), t["b_r"]))
-    cand = ad.tanh(
-        ad.add(ad.add(ad.matvec(t["w_h"], x), ad.matvec(t["u_h"], ad.mul(r, h))), t["b_h"])
-    )
-    one = ad.const(np.ones_like(h.value))
-    return ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, cand))
-
-
-def _loss_tape(prep: _PreparedSample, tensors: dict[str, ad.Tensor], config):
-    """Build the full joint-loss graph for one sample."""
-    if prep.frozen is not None:
-        q, e = (ad.const(v) for v in prep.frozen)
-    else:
-        embed = tensors["enc_embed"]
-        if config.freeze_encoder:
-            embed = ad.detach(embed)
-        q, e = _evidence_tape(prep, embed, config)
-
-    inputs = [BOS_ID] + prep.answer_ids
-    targets = prep.answer_ids + [EOS_ID]
-
-    h = ad.tanh(ad.matvec(tensors["w_init"], q))
-    nll_terms = []
-    state_sum = None
-    for inp, tgt in zip(inputs, targets):
-        x = ad.row(tensors["embed"], inp)
-        h = _gru_step_tape(x, h, tensors)
-        logits = ad.add(ad.matvec(tensors["w_out"], ad.concat(h, e)), tensors["b_out"])
-        log_probs = ad.log_softmax(logits)
-        nll_terms.append(ad.scale(ad.element(log_probs, tgt), -1.0))
-        state_sum = h if state_sum is None else ad.add(state_sum, h)
-    l_nll = nll_terms[0]
-    for term in nll_terms[1:]:
-        l_nll = ad.add(l_nll, term)
-    l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
-
-    mean_state = ad.scale(state_sum, 1.0 / len(targets))
-    h_gen = ad.l2_normalize(ad.matvec(tensors["w_pool"], mean_state))
-    diff = ad.sub(h_gen, e)
-    l_cons = ad.sub(
-        ad.sqrt(ad.add(ad.dot(diff, diff), ad.const(CONS_EPS))),
-        ad.const(math.sqrt(CONS_EPS)),
+def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config):
+    """Build the joint-loss graph of a minibatch: the batch means of l_nll and
+    l_cons, l_joint, and the (2, B) per-sample [l_nll; l_cons] they average."""
+    pairs = []
+    for prep in preps:
+        if prep.frozen is not None:
+            pairs.append(tuple(ad.const(v) for v in prep.frozen))
+        else:
+            pairs.append(_evidence_tape(prep, tensors["enc_embed"], config))
+    q, e = (ad.stack(rows) for rows in zip(*pairs))
+    per_sample = ad.decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
+    l_nll, l_cons = (
+        ad.scale(ad.sum_all(ad.row(per_sample, i)), 1.0 / len(preps)) for i in (0, 1)
     )
     l_joint = ad.add(l_nll, ad.scale(l_cons, config.lambda_))
-    return l_nll, l_cons, l_joint
+    return l_nll, l_cons, l_joint, per_sample
 
 
-def _wrap_params(params: dict[str, np.ndarray]) -> dict[str, ad.Tensor]:
-    return {name: ad.param(arr) for name, arr in params.items()}
+def _wrap_params(params: dict[str, np.ndarray], freeze_encoder=False) -> dict[str, ad.Tensor]:
+    """Tape leaves for the parameters; a frozen encoder's table is a constant."""
+    return {
+        name: ad.const(arr) if name == "enc_embed" and freeze_encoder else ad.param(arr)
+        for name, arr in params.items()
+    }
 
 
-def joint_loss(
-    sample: QASample, vocab: Vocabulary, params: dict[str, np.ndarray], config: TrainConfig
-) -> LossBreakdown:
-    tensors = _wrap_params(params)
-    l_nll, l_cons, _ = _loss_tape(_prepare(sample, vocab, config), tensors, config)
-    return LossBreakdown(l_nll=l_nll.item(), l_cons=l_cons.item(), lambda_=config.lambda_)
+def _breakdowns(per_sample: ad.Tensor, lambda_: float) -> list[LossBreakdown]:
+    rows = per_sample.value.T.tolist()
+    return [LossBreakdown(l_nll=n, l_cons=c, lambda_=lambda_) for n, c in rows]
+
+
+def joint_loss(samples, vocab: Vocabulary, params: dict[str, np.ndarray], config: TrainConfig):
+    """Loss breakdown of one sample, or the list of breakdowns of a list of samples."""
+    batch = samples if isinstance(samples, list) else [samples]
+    tensors = _wrap_params(params, config.freeze_encoder)
+    *_, per_sample = _loss_tape([_prepare(s, vocab, config) for s in batch], tensors, config)
+    breakdowns = _breakdowns(per_sample, config.lambda_)
+    return breakdowns if isinstance(samples, list) else breakdowns[0]
 
 
 def joint_loss_and_grads(
-    sample: QASample,
+    samples,
     vocab: Vocabulary,
     params: dict[str, np.ndarray],
     config: TrainConfig,
     component: str = "joint",
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+):
     """Loss breakdown plus gradients of the chosen component (nll/cons/joint).
 
-    train() passes samples it has tokenized once; any other is prepared here.
+    samples is one sample, or a list of them (a minibatch): then the
+    breakdowns come per sample and the gradients are those of the batch
+    mean. A frozen encoder's enc_embed gets no gradient. train() passes
+    samples it has tokenized once; any other is prepared here.
     """
-    tensors = _wrap_params(params)
-    l_nll, l_cons, l_joint = _loss_tape(_prepare(sample, vocab, config), tensors, config)
-    root = {"nll": l_nll, "cons": l_cons, "joint": l_joint}[component]
-    ad.backward(root)
+    batch = samples if isinstance(samples, list) else [samples]
+    tensors = _wrap_params(params, config.freeze_encoder)
+    l_nll, l_cons, l_joint, per_sample = _loss_tape(
+        [_prepare(s, vocab, config) for s in batch], tensors, config
+    )
+    ad.backward({"nll": l_nll, "cons": l_cons, "joint": l_joint}[component])
     grads = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in tensors.items()
+        if t.requires_grad
     }
-    breakdown = LossBreakdown(l_nll=l_nll.item(), l_cons=l_cons.item(), lambda_=config.lambda_)
-    return breakdown, grads
+    breakdowns = _breakdowns(per_sample, config.lambda_)
+    return (breakdowns if isinstance(samples, list) else breakdowns[0]), grads
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +292,45 @@ def joint_loss_and_grads(
 
 
 class Adam:
-    """Adam with the conventional defaults (b1 0.9, b2 0.999)."""
+    """Adam with the conventional defaults (b1 0.9, b2 0.999).
+
+    The update runs in place, in preallocated buffers, with the operations
+    of m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps) in that order, so its bits are
+    those of the expression.
+    """
 
     def __init__(self, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.t = 0
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Step every parameter that has a gradient; the others are left untouched."""
         self.t += 1
+        c1, c2 = 1 - self.b1**self.t, 1 - self.b2**self.t
         for name in sorted(grads):
             g = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1**self.t)
-            v_hat = self.v[name] / (1 - self.b2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._scratch[name] = (np.empty_like(g), np.empty_like(g))
+            m, v = self.m[name], self.v[name]
+            step, denom = self._scratch[name]
+            m *= self.b1
+            m += np.multiply(1 - self.b1, g, out=step)
+            np.multiply(1 - self.b2, g, out=step)
+            v *= self.b2
+            v += np.multiply(step, g, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            step /= denom
+            params[name] -= step
 
 
 def _dataset_texts(dataset: list[QASample]) -> list[str]:
@@ -379,26 +382,24 @@ def train(
     rng = np.random.default_rng(config.seed)
 
     prepared = _prepare_dataset(dataset, vocab, params, config)
-    log = [_mean_breakdown([joint_loss(p, vocab, params, config) for p in prepared], config.lambda_)]
+    n = len(dataset)
+    batches = range(0, n, config.batch_size)
+    initial = []
+    for start in batches:
+        initial += joint_loss(prepared[start : start + config.batch_size], vocab, params, config)
+    log = [_mean_breakdown(initial, config.lambda_)]
     _check_finite(log[0], "initialization")
 
-    n = len(dataset)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, config.batch_size):
+        for start in batches:
             batch = [prepared[i] for i in order[start : start + config.batch_size]]
-            grad_sum: dict[str, np.ndarray] = {}
-            for sample in batch:
-                breakdown, grads = joint_loss_and_grads(sample, vocab, params, config)
+            breakdowns, grads = joint_loss_and_grads(batch, vocab, params, config)
+            for sample, breakdown in zip(batch, breakdowns):
                 _check_finite(breakdown, f"sample {sample.id} (epoch {epoch})")
-                epoch_losses.append(breakdown)
-                if config.freeze_encoder:
-                    del grads["enc_embed"]
-                for name, g in grads.items():
-                    grad_sum[name] = g if name not in grad_sum else grad_sum[name] + g
-            mean_grads = {name: g / len(batch) for name, g in grad_sum.items()}
-            opt.update(params, mean_grads)
+            epoch_losses += breakdowns
+            opt.update(params, grads)
         log.append(_mean_breakdown(epoch_losses, config.lambda_))
     return Checkpoint(config=config, vocab=vocab, params=params, log=log)
 

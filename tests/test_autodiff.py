@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from alignrag import autodiff as ad
+from alignrag.decoder import decoder_shapes, init_decoder_params
 
 H = 1e-6
 TOL = 1e-6
@@ -131,6 +132,55 @@ class TestLinear:
     def test_segment_mean_rejects_bad_segments(self, lengths):
         with pytest.raises(ValueError):
             ad.segment_mean(ad.const(np.ones((4, 2))), lengths)
+
+
+    def test_stack(self, rng):
+        arrays = {"a": rng.normal(size=3), "b": rng.normal(size=3), "w": rng.normal(size=(3, 3))}
+        check_grads(
+            lambda t: ad.sum_all(ad.mul(ad.tanh(ad.stack([t["a"], t["b"], t["a"]])), t["w"])),
+            arrays,
+        )
+
+
+class TestDecoderLosses:
+    """The one coarse op: teacher-forced decoding of a padded minibatch."""
+
+    V, D, HID = 9, 3, 2
+    # Lengths 1, 2 and 4: the batch is padded to 5 steps and masked.
+    ANSWERS = [[5], [6, 4], [7, 8, 5, 6]]
+
+    def arrays(self, rng):
+        arrays = init_decoder_params(self.V, self.D, self.HID, seed=7)
+        arrays.update(
+            {name: rng.normal(scale=0.5, size=arr.shape) for name, arr in arrays.items()}
+        )
+        arrays["q"] = rng.normal(size=(len(self.ANSWERS), self.D))
+        arrays["e"] = rng.normal(size=(len(self.ANSWERS), self.D))
+        return arrays
+
+    def test_finite_differences_for_every_input(self, rng):
+        arrays = self.arrays(rng)
+        assert set(arrays) == set(decoder_shapes(self.V, self.D, self.HID)) | {"q", "e"}
+        # Distinct weights on every sample's NLL and consistency terms.
+        w = ad.const(rng.normal(size=(2, len(self.ANSWERS))))
+        # The loss sums a dozen log-softmax terms, so central-difference
+        # round-off reaches 1e-6 of the smallest (1e-4) gradients: tol 1e-5.
+        check_grads(
+            lambda t: ad.sum_all(
+                ad.mul(ad.decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12), w)
+            ),
+            arrays,
+            tol=1e-5,
+        )
+
+    def test_padding_changes_no_sample(self, rng):
+        arrays = self.arrays(rng)
+        t = {name: ad.const(arr) for name, arr in arrays.items()}
+        batched = ad.decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12).value
+        for b, answer in enumerate(self.ANSWERS):
+            q, e = (ad.const(arrays[n][b : b + 1]) for n in ("q", "e"))
+            alone = ad.decoder_losses(t, q, e, [answer], 1e-12).value[:, 0]
+            np.testing.assert_allclose(batched[:, b], alone, rtol=0, atol=1e-15)
 
 
 class TestComposite:

@@ -329,6 +329,30 @@ class TestSweep:
         assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "param, grid",
+        [
+            ("beta", "1.0"),
+            ("beta", "0,2,1"),
+            ("top_k", "0,1,2"),
+            ("top_k", "1.5,2.9,3"),
+            ("beta", "a"),
+            ("top_k", "1,inf"),
+        ],
+        ids=["beta-too-short", "beta-decreasing", "top_k-zero", "top_k-fractional", "non-number",
+             "non-finite"],
+    )
+    def test_invalid_grid_is_io_error(self, workdir, param, grid, capsys):
+        out = workdir["root"] / "sweep_invalid"
+        rc = cli.main(
+            ["sweep", str(workdir["data"]), "--checkpoint", str(workdir["ckpt"]),
+             "--param", param, "--grid", grid, "--out", str(out)]
+        )
+        assert rc == cli.EXIT_IO
+        assert "grid" in capsys.readouterr().err
+        assert not out.with_suffix(".json").exists()
+
+
 class TestCheckpointDefaults:
     """generate, eval and sweep all take unset settings from the checkpoint."""
 
@@ -426,6 +450,38 @@ class TestMalformedInput:
         rc = cli.main(["index", str(path), "--out", str(workdir["root"] / "bad.idx")])
         assert rc == cli.EXIT_IO
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ['{"id": 1, "text": 5}', '{"id": 1, "text": null}'], ids=["integer", "null"]
+    )
+    def test_non_string_corpus_text_is_io_error(self, workdir, line, capsys):
+        path = workdir["root"] / "bad_text.jsonl"
+        path.write_text('{"id": 0, "text": "alpha"}\n' + line + "\n")
+        rc = cli.main(["index", str(path), "--out", str(workdir["root"] / "bad.idx")])
+        assert rc == cli.EXIT_IO
+        assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.update(answer=None),
+            lambda r: r.update(question=5),
+            lambda r: r["context"][0].__setitem__(0, 7),
+            lambda r: r["context"][0][1].__setitem__(0, 3.5),
+            lambda r: r["supporting_facts"][0].__setitem__(0, 7),
+            lambda r: r.update(_id=12),
+        ],
+        ids=["null-answer", "integer-question", "integer-title", "non-string-sentence",
+             "integer-fact-title", "integer-id"],
+    )
+    def test_non_string_field_is_io_error(self, workdir, edit, capsys):
+        records = json.loads(workdir["data"].read_text())
+        edit(records[0])
+        path = workdir["root"] / "bad_types.json"
+        path.write_text(json.dumps(records))
+        rc = cli.main(["eval", str(path), "--checkpoint", str(workdir["ckpt"])])
+        assert rc == cli.EXIT_IO
+        assert "not a string" in capsys.readouterr().err
 
     def test_non_integer_supporting_fact_is_io_error(self, workdir, capsys):
         records = json.loads(workdir["data"].read_text())

@@ -245,6 +245,135 @@ class TestTapeInferenceParity:
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
 
 
+def per_sample_loss_tape(sample, vocab, tensors, config):
+    """Reference for the batched decoder op: the per-sample, per-op loss graph it replaced."""
+
+    def gru_step(x, h, t):
+        z = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_z"], x), ad.matvec(t["u_z"], h)), t["b_z"]))
+        r = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_r"], x), ad.matvec(t["u_r"], h)), t["b_r"]))
+        cand = ad.tanh(
+            ad.add(ad.add(ad.matvec(t["w_h"], x), ad.matvec(t["u_h"], ad.mul(r, h))), t["b_h"])
+        )
+        one = ad.const(np.ones_like(h.value))
+        return ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, cand))
+
+    embed = tensors["enc_embed"]
+    if config.freeze_encoder:
+        embed = ad.detach(embed)
+    q, e = training._evidence_tape(training._prepare(sample, vocab, config), embed, config)
+    answer_ids = vocab.encode(sample.answer)
+    inputs = [BOS_ID] + answer_ids
+    targets = answer_ids + [EOS_ID]
+    h = ad.tanh(ad.matvec(tensors["w_init"], q))
+    nll_terms = []
+    state_sum = None
+    for inp, tgt in zip(inputs, targets):
+        h = gru_step(ad.row(tensors["embed"], inp), h, tensors)
+        logits = ad.add(ad.matvec(tensors["w_out"], ad.concat(h, e)), tensors["b_out"])
+        nll_terms.append(ad.scale(ad.element(ad.log_softmax(logits), tgt), -1.0))
+        state_sum = h if state_sum is None else ad.add(state_sum, h)
+    l_nll = nll_terms[0]
+    for term in nll_terms[1:]:
+        l_nll = ad.add(l_nll, term)
+    l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
+    h_gen = ad.l2_normalize(ad.matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
+    diff = ad.sub(h_gen, e)
+    l_cons = ad.sub(
+        ad.sqrt(ad.add(ad.dot(diff, diff), ad.const(training.CONS_EPS))),
+        ad.const(math.sqrt(training.CONS_EPS)),
+    )
+    return l_nll, l_cons, ad.add(l_nll, ad.scale(l_cons, config.lambda_))
+
+
+class TestBatchedDecoder:
+    """A minibatch through the one decoder op equals the per-sample tapes it replaced."""
+
+    # Answers of 1, 2, 4 and 3 tokens, so the batch is padded and masked.
+    ANSWERS = ["wa1", "wa2 wb3", "wa3 wb4 wb5 wb6", "the wb7 end"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"freeze_encoder": True},
+            {},
+            {"differentiable_weights": True},
+            {"oracle_evidence": True},
+        ],
+        ids=["frozen", "joint", "differentiable_weights", "oracle_evidence"],
+    )
+    @pytest.mark.parametrize("component", ["nll", "cons", "joint"])
+    def test_batch_matches_mean_of_per_sample_tapes(self, overrides, component):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_samples=4, n_gold_evidence=2, n_distractors=6)
+        )
+        samples = [dataclasses.replace(s, answer=a) for s, a in zip(samples, self.ANSWERS)]
+        config = TrainConfig(dim=16, hidden=12, lambda_=0.7, beta=2.0, top_k=3, **overrides)
+        vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=8)
+        assert sorted(len(vocab.encode(s.answer)) for s in samples) == [1, 2, 3, 4]
+        params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+
+        batch = training._prepare_dataset(samples, vocab, params, config)
+        assert all((p.frozen is not None) == config.freeze_encoder for p in batch)
+        breakdowns, grads = joint_loss_and_grads(batch, vocab, params, config, component)
+
+        want_grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        for sample, got in zip(samples, breakdowns):
+            tensors = training._wrap_params(params)
+            l_nll, l_cons, l_joint = per_sample_loss_tape(sample, vocab, tensors, config)
+            assert abs(got.l_nll - l_nll.item()) <= 1e-12
+            assert abs(got.l_cons - l_cons.item()) <= 1e-12
+            ad.backward({"nll": l_nll, "cons": l_cons, "joint": l_joint}[component])
+            for name, t in tensors.items():
+                if t.grad is not None:
+                    want_grads[name] += t.grad / len(samples)
+        if config.freeze_encoder:
+            assert "enc_embed" not in grads
+            del want_grads["enc_embed"]
+        assert sorted(grads) == sorted(want_grads)
+        for name, want in want_grads.items():
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+
+    def test_single_sample_is_a_batch_of_one(self):
+        sample, config, vocab, params = multi_hop_setup({})
+        single, single_grads = joint_loss_and_grads(sample, vocab, params, config)
+        [batched], batched_grads = joint_loss_and_grads([sample], vocab, params, config)
+        assert single == batched == joint_loss(sample, vocab, params, config)
+        assert joint_loss([sample], vocab, params, config) == [single]
+        for name in params:
+            assert np.array_equal(single_grads[name], batched_grads[name]), name
+
+
+class TestAdam:
+    @staticmethod
+    def reference_update(state, params, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+        """The allocating Adam formula the in-place update must reproduce bit for bit."""
+        state["t"] += 1
+        for name in sorted(grads):
+            g = grads[name]
+            m = state["m"].get(name, np.zeros_like(g))
+            v = state["v"].get(name, np.zeros_like(g))
+            state["m"][name] = m = b1 * m + (1 - b1) * g
+            state["v"][name] = v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** state["t"])
+            v_hat = v / (1 - b2 ** state["t"])
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    def test_in_place_update_is_bit_identical(self, rng):
+        shapes = {"a": (5, 3), "b": (7,), "c": ()}
+        got = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: arr.copy() for name, arr in got.items()}
+        opt, state = training.Adam(lr=0.03), {"t": 0, "m": {}, "v": {}}
+        for i in range(6):
+            # "c" gets a gradient only from the third step on.
+            grads = {name: rng.normal(size=s) * 10.0 ** (i - 3) for name, s in shapes.items()}
+            if i < 2:
+                del grads["c"]
+            opt.update(got, grads)
+            self.reference_update(state, want, grads, lr=0.03)
+            for name in shapes:
+                assert np.array_equal(got[name], want[name]), (i, name)
+
+
 class TestInitParams:
     def test_deterministic_and_includes_encoder(self):
         a = init_params(20, dim=4, hidden=3, seed=9)
