@@ -177,20 +177,12 @@ def save_samples(path, samples: list[QASample]) -> None:
         fh.write("\n")
 
 
-def evidence_texts(
-    sample: QASample, granularity: str = "paragraph", include_title: bool = True
-) -> list[tuple[str, str]]:
-    """Flatten a sample's context into (title, chunk text) pairs."""
+def evidence_texts(sample: QASample, include_title: bool = True) -> list[tuple[str, str]]:
+    """Flatten a sample's context into (title, paragraph text) pairs."""
     out = []
     for title, sentences in sample.context:
-        if granularity == "paragraph":
-            body = " ".join(sentences)
-            out.append((title, f"{title} {body}" if include_title else body))
-        elif granularity == "sentence":
-            for sent in sentences:
-                out.append((title, f"{title} {sent}" if include_title else sent))
-        else:
-            raise ValueError(f"unknown granularity {granularity!r}")
+        body = " ".join(sentences)
+        out.append((title, f"{title} {body}" if include_title else body))
     return out
 
 

@@ -3,9 +3,11 @@
 retrieve() is the one retrieval path of the pipeline: top-k ->
 threshold -> weight -> aggregate. evaluate() runs encode -> retrieve ->
 greedy decode -> metrics for every sample and emits a fully attributed,
-deterministic report. The two sweeps vary exactly one parameter (the
-alignment-weight temperature beta, or retrieval top-k) and rerun
-evaluate per grid point.
+deterministic report. Each call tokenizes every distinct text once and
+encodes each sample's question and chunks as one batch, with the
+training tape's encode. The two sweeps vary exactly one parameter (the
+alignment-weight temperature beta, or retrieval top-k): they prepare
+the samples once and rerun retrieve -> decode -> metrics per grid point.
 """
 from __future__ import annotations
 
@@ -17,17 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .aggregation import EvidenceAggregate, aggregate, normalize_weights
 from .data import QASample
 from .decoder import decode_greedy
-from .encoder import encode
 from .errors import EmptyScores, InvalidGrid
-from .index import EvidenceIndex, RetrievalResult, build_index, filter_by_threshold, top_k
+from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, top_k
 from .metrics import MetricReport, bleu, exact_match, rouge_l, score_corpus, token_f1
-from .training import Checkpoint, TrainConfig, sample_chunks
+from .training import Checkpoint, TrainConfig, _encode_rows, _prepare
 from .vocab import tokenize
 
 REPORT_SCHEMA_VERSION = 1
+# Distinct texts per encode call: bounds the (tokens, dim) row gather. Each
+# row depends on its own text only, so the block size changes no bit.
+_ENCODE_BLOCK = 64
 
 
 @dataclass
@@ -94,20 +99,51 @@ def retrieve(
     return results, aggregate(weights, index)
 
 
-def evaluate(
-    dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig | None = None
-) -> EvalReport:
-    """Pure function of (checkpoint, dataset, config); reports are byte-stable."""
+@dataclass
+class _EvalSample:
+    """A sample tokenized and encoded once: its question row and chunk index."""
+
+    sample: QASample
+    titles: list[str]
+    q: np.ndarray
+    index: EvidenceIndex
+
+
+def _prepare_eval(dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig):
+    """Tokenize and encode each distinct question and chunk text once, then give
+    every sample its question row and an index over its chunk rows."""
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
-    config = config if config is not None else ckpt.config
-    vocab, enc = ckpt.vocab, ckpt.encoder
+    cache: dict[str, np.ndarray] = {}
+    preps = [_prepare(s, ckpt.vocab, config, cache, answer=False) for s in dataset]
+    texts = list(cache)  # each distinct question and chunk text, once
+    embed = ad.const(ckpt.params["enc_embed"])
+    rows = []
+    for start in range(0, len(texts), _ENCODE_BLOCK):
+        block = [cache[t] for t in texts[start : start + _ENCODE_BLOCK]]
+        rows.append(_encode_rows(embed, np.concatenate(block), [ids.size for ids in block]).value)
+    rows = np.concatenate(rows)
+    slot = {text: i for i, text in enumerate(texts)}
+    return [
+        _EvalSample(
+            sample,
+            prep.titles,
+            rows[slot[sample.question]],
+            EvidenceIndex(range(len(prep.texts)), prep.texts, rows[[slot[t] for t in prep.texts]]),
+        )
+        for sample, prep in zip(dataset, preps)
+    ]
+
+
+def _evaluate_prepared(
+    prepared: list[_EvalSample], ckpt: Checkpoint, config: TrainConfig
+) -> EvalReport:
+    """retrieve -> greedy decode -> metrics for every prepared sample under config."""
+    vocab = ckpt.vocab
     records = []
     preds: list[str] = []
-    for sample in dataset:
-        chunks = sample_chunks(sample, config)
-        index = build_index(list(enumerate(text for _, text in chunks)), vocab, enc)
-        q = encode(sample.question, vocab, enc)
+    for item in prepared:
+        sample, index, q = item.sample, item.index, item.q
         k = len(index) if config.oracle_evidence else config.top_k
         results, agg = retrieve(q, index, k, config.tau, config.beta)
         # A retrieval failure generates "", which is scored like any prediction.
@@ -121,7 +157,7 @@ def evaluate(
             retrieved = [
                 {
                     "chunk_id": r.chunk_id,
-                    "title": chunks[r.chunk_id][0],
+                    "title": item.titles[r.chunk_id],
                     "score": r.score,
                     "alpha": alphas[r.chunk_id],
                 }
@@ -145,7 +181,7 @@ def evaluate(
     consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
     support_rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
     return EvalReport(
-        metrics=score_corpus(preds, [s.answer for s in dataset]),
+        metrics=score_corpus(preds, [item.sample.answer for item in prepared]),
         config=config.as_dict(),
         checkpoint_fingerprint=checkpoint_fingerprint(ckpt),
         samples=records,
@@ -155,11 +191,21 @@ def evaluate(
     )
 
 
+def evaluate(
+    dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig | None = None
+) -> EvalReport:
+    """Pure function of (checkpoint, dataset, config); reports are byte-stable."""
+    config = config if config is not None else ckpt.config
+    return _evaluate_prepared(_prepare_eval(dataset, ckpt, config), ckpt, config)
+
+
 def _check_grid(grid, name: str, minimum=None, integer=False) -> list[float]:
     try:
         grid = [float(v) for v in grid]
     except (TypeError, ValueError) as err:
         raise InvalidGrid(f"{name} grid holds a non-number ({err})") from err
+    if not grid:
+        raise InvalidGrid(f"{name} grid is empty")
     if not all(math.isfinite(v) for v in grid):
         raise InvalidGrid(f"{name} grid values must be finite")
     if integer and not all(v.is_integer() for v in grid):
@@ -177,14 +223,13 @@ def sweep_alignment_weight(
     beta_grid,
     config: TrainConfig | None = None,
 ) -> SweepResult:
-    """One evaluate() per beta, everything else fixed."""
+    """evaluate() at each beta, everything else fixed; samples are prepared once."""
     grid = _check_grid(beta_grid, "beta", minimum=0.0)
     if len(grid) < 3 or grid[0] != 0.0:
         raise InvalidGrid("beta grid needs >= 3 strictly increasing values starting at 0")
     base = config if config is not None else ckpt.config
-    reports = [
-        evaluate(dataset, ckpt, dataclasses.replace(base, beta=b)) for b in grid
-    ]
+    prepared = _prepare_eval(dataset, ckpt, base)
+    reports = [_evaluate_prepared(prepared, ckpt, dataclasses.replace(base, beta=b)) for b in grid]
     return SweepResult(param_name="beta", grid=grid, reports=reports)
 
 
@@ -194,11 +239,12 @@ def sweep_top_k(
     k_grid,
     config: TrainConfig | None = None,
 ) -> SweepResult:
-    """One evaluate() per retrieval depth k, everything else fixed."""
+    """evaluate() at each retrieval depth k, everything else fixed; samples are prepared once."""
     grid = _check_grid(k_grid, "top_k", minimum=1, integer=True)
     base = config if config is not None else ckpt.config
+    prepared = _prepare_eval(dataset, ckpt, base)
     reports = [
-        evaluate(dataset, ckpt, dataclasses.replace(base, top_k=int(k))) for k in grid
+        _evaluate_prepared(prepared, ckpt, dataclasses.replace(base, top_k=int(k))) for k in grid
     ]
     return SweepResult(param_name="top_k", grid=grid, reports=reports)
 

@@ -9,16 +9,17 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import QASample, evidence_texts
 from .decoder import decoder_shapes, init_decoder_params
-from .encoder import EncoderParams, init_encoder_params, values_of
+from .encoder import NORM_EPS, EncoderParams, init_encoder_params, values_of
 from .errors import (
     CheckpointError,
+    DegenerateNorm,
     DimMismatch,
     EmptyInput,
     EmptyScores,
@@ -53,6 +54,21 @@ class LossBreakdown:
         }
 
 
+# Lower bounds of the integer fields, and of lambda_ and beta.
+_MINIMUMS = {
+    "seed": 0, "dim": 1, "hidden": 1, "epochs": 0, "batch_size": 1, "top_k": 1,
+    "max_len": 1, "hash_buckets": 1, "lambda_": 0, "beta": 0,
+}
+_KINDS = {"bool": "a bool", "int": "an int", "float": "a finite number"}
+
+
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -73,10 +89,26 @@ class TrainConfig:
     include_title: bool = True
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1 or self.top_k < 1 or self.max_len < 1:
-            raise ValueError("epochs/batch_size/top_k/max_len must be positive")
-        if self.learning_rate <= 0 or self.lambda_ < 0 or self.beta < 0:
-            raise ValueError("learning_rate must be > 0; lambda and beta must be >= 0")
+        """Check the type and range of every field.
+
+        Integer fields take an int (not a bool), float fields a finite int or
+        float, boolean fields a bool; a wrong type raises TypeError and a value
+        out of range ValueError, each naming the field.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(value, bool)
+            else:
+                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+                ok = ok and (isinstance(value, int) if f.type == "int" else _is_finite(value))
+            if not ok:
+                raise TypeError(f"{f.name} must be {_KINDS[f.type]}, got {value!r}")
+        for name, low in _MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -163,46 +195,82 @@ def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]
 
 @dataclass
 class _PreparedSample:
-    """A sample tokenized once: what the tape reads of it at every step."""
+    """A sample tokenized once: what the tape and evaluate read of it."""
 
     id: str
     ids: np.ndarray  # question token ids, then each chunk's, concatenated
     lengths: list[int]  # the question's length, then each chunk's
-    texts: list[str]  # chunk texts, in sample_chunks order
-    answer_ids: list[int]
+    titles: list[str]  # chunk titles and texts, in sample_chunks order
+    texts: list[str]
+    answer_ids: list[int] | None  # None when prepared without the answer
     # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
     # therefore depend on no trainable parameter.
     frozen: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _prepare(sample, vocab: Vocabulary, config: TrainConfig) -> _PreparedSample:
-    """Tokenize a sample's question, chunks and answer; a prepared sample is returned as is."""
+def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=True):
+    """Tokenize a sample's question, chunks and, unless answer is False, answer.
+
+    cache maps text -> token ids for the length of one call, so each distinct
+    text is tokenized once; its id arrays are shared between samples and read-only.
+    A prepared sample is returned as is.
+    """
     if isinstance(sample, _PreparedSample):
         return sample
-    segments = [vocab.encode(sample.question)]
-    if not segments[0]:
+    cache = {} if cache is None else cache
+
+    def token_ids(text: str) -> np.ndarray:
+        ids = cache.get(text)
+        if ids is None:
+            ids = cache[text] = np.array(vocab.encode(text), dtype=np.intp)
+            ids.flags.writeable = False
+        return ids
+
+    segments = [token_ids(sample.question)]
+    if not segments[0].size:
         raise EmptyInput(f"sample {sample.id}: empty question after tokenization")
     chunks = sample_chunks(sample, config)
     for title, text in chunks:
-        segments.append(vocab.encode(text))
-        if not segments[-1]:
+        segments.append(token_ids(text))
+        if not segments[-1].size:
             raise EmptyInput(f"sample {sample.id}: chunk {title!r} tokenized to nothing")
-    answer_ids = vocab.encode(sample.answer)
-    if not answer_ids:
-        raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
+    answer_ids = None
+    if answer:
+        answer_ids = token_ids(sample.answer).tolist()
+        if not answer_ids:
+            raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
     return _PreparedSample(
         id=sample.id,
-        ids=np.concatenate(segments).astype(np.intp),
+        ids=np.concatenate(segments),
         lengths=[len(ids) for ids in segments],
+        titles=[title for title, _ in chunks],
         texts=[text for _, text in chunks],
         answer_ids=answer_ids,
     )
 
 
+def _prepare_samples(samples, vocab: Vocabulary, config: TrainConfig) -> list[_PreparedSample]:
+    """Prepare every sample with one token cache: each distinct text is tokenized once."""
+    cache: dict[str, np.ndarray] = {}
+    return [_prepare(s, vocab, config, cache) for s in samples]
+
+
+def _encode_rows(embed: ad.Tensor, ids, lengths) -> ad.Tensor:
+    """The batched encode: row i mean-pools segment i's embedding rows, L2-normalized.
+
+    Like encode_ids, raises DegenerateNorm for a pooled row of near-zero norm.
+    """
+    pooled = ad.segment_mean(ad.gather_rows(embed, ids), lengths)
+    smallest = np.einsum("ij,ij->i", pooled.value, pooled.value).min()
+    if smallest < NORM_EPS**2:
+        raise DegenerateNorm(f"pre-normalization norm {math.sqrt(smallest)} below {NORM_EPS}")
+    return ad.l2_normalize_rows(pooled)
+
+
 def _evidence_tape(prep: _PreparedSample, embed: ad.Tensor, config: TrainConfig):
     """Encode question and chunks as one batch, select evidence as inference does,
     then weight and aggregate it on the tape. Returns (q, e)."""
-    rows = ad.l2_normalize_rows(ad.segment_mean(ad.gather_rows(embed, prep.ids), prep.lengths))
+    rows = _encode_rows(embed, prep.ids, prep.lengths)
     q = ad.row(rows, 0)
     n = len(prep.texts)
     index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
@@ -252,7 +320,7 @@ def joint_loss(samples, vocab: Vocabulary, params: dict[str, np.ndarray], config
     """Loss breakdown of one sample, or the list of breakdowns of a list of samples."""
     batch = samples if isinstance(samples, list) else [samples]
     tensors = _wrap_params(params, config.freeze_encoder)
-    *_, per_sample = _loss_tape([_prepare(s, vocab, config) for s in batch], tensors, config)
+    *_, per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
     breakdowns = _breakdowns(per_sample, config.lambda_)
     return breakdowns if isinstance(samples, list) else breakdowns[0]
 
@@ -274,7 +342,7 @@ def joint_loss_and_grads(
     batch = samples if isinstance(samples, list) else [samples]
     tensors = _wrap_params(params, config.freeze_encoder)
     l_nll, l_cons, l_joint, per_sample = _loss_tape(
-        [_prepare(s, vocab, config) for s in batch], tensors, config
+        _prepare_samples(batch, vocab, config), tensors, config
     )
     ad.backward({"nll": l_nll, "cons": l_cons, "joint": l_joint}[component])
     grads = {
@@ -357,7 +425,7 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
     train() never passes a frozen enc_embed to Adam, so q and e are constants
     of each sample: they are recorded once, by the code the joint path runs.
     """
-    prepared = [_prepare(s, vocab, config) for s in dataset]
+    prepared = _prepare_samples(dataset, vocab, config)
     if config.freeze_encoder:
         frozen_embed = ad.const(params["enc_embed"])
         for prep in prepared:

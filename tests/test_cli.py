@@ -533,6 +533,42 @@ class TestInvalidSettings:
         assert "invalid settings" in capsys.readouterr().err
 
 
+    # (config section, key, value, subcommands): every value TrainConfig.validate()
+    # rejects exits 2, whichever subcommand resolves it.
+    BAD_CONFIG_VALUES = [
+        ("encoder", "hash_buckets", 0, ("train", "index")),
+        ("training", "seed", -1, ("train", "index")),
+        ("training", "seed", 1.5, ("train", "index")),
+        ("retrieval", "tau", "x", ("train", "eval", "query")),
+        ("training", "epochs", 1.5, ("train", "eval")),
+        ("training", "batch_size", 2.5, ("train", "eval")),
+        ("retrieval", "top_k", 1.5, ("train", "eval")),
+        ("training", "max_len", 2.5, ("train", "eval")),
+        ("training", "beta", float("nan"), ("train",)),
+        ("training", "beta", float("inf"), ("train",)),
+        ("training", "learning_rate", float("nan"), ("train",)),
+        ("encoder", "dim", 0, ("train",)),
+        ("encoder", "hidden", True, ("train",)),
+        ("training", "freeze_encoder", 1, ("train",)),
+    ]
+
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [(sec, key, val, cmd) for sec, key, val, cmds in BAD_CONFIG_VALUES for cmd in cmds],
+        ids=[f"{cmd}-{key}={val}" for _, key, val, cmds in BAD_CONFIG_VALUES for cmd in cmds],
+    )
+    def test_invalid_config_value_is_io_error(self, workdir, section, key, value, command, capsys):
+        if command == "query":
+            rc = cli.main(["index", str(workdir["corpus"]), "--out", str(workdir["root"] / "invalid-query.idx")])
+            assert rc == cli.EXIT_OK
+        config = workdir["root"] / "invalid-config.json"
+        config.write_text(json.dumps({section: {key: value}}))
+        rc = cli.main(self._argv(workdir, command) + ["--config", str(config)])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "invalid settings" in err and key in err
+
+
 class TestCorruptHeader:
     """One corrupted byte anywhere before a container's payload exits 0, 2 or 3, never a traceback."""
 

@@ -116,14 +116,6 @@ class TestEvidenceTexts:
             ("T2", "s three"),
         ]
 
-    def test_sentence_granularity(self, sample):
-        got = evidence_texts(sample, granularity="sentence", include_title=False)
-        assert got == [("T1", "s one"), ("T1", "s two"), ("T2", "s three")]
-
-    def test_unknown_granularity(self, sample):
-        with pytest.raises(ValueError):
-            evidence_texts(sample, granularity="chapter")
-
 
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):

@@ -9,7 +9,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_retrieval_basics.py", "02_train_and_generate.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_retrieval_basics.py",
+        "02_train_and_generate.py",
+        "03_sensitivity_sweeps.py",
+        "04_metrics_tour.py",
+    ],
+)
 def test_demo_exits_cleanly(demo):
     src = str(ROOT / "src")
     env = dict(os.environ)

@@ -1,20 +1,32 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from alignrag.data import SyntheticSpec, generate_synthetic
-from alignrag.errors import EmptyScores
+from alignrag.data import QASample, SyntheticSpec, generate_synthetic
+from alignrag.decoder import decode_greedy
+from alignrag.encoder import encode
+from alignrag.errors import DegenerateNorm, EmptyInput, EmptyScores, InvalidGrid
 from alignrag.evaluation import (
+    SweepResult,
+    _support_rate,
     checkpoint_fingerprint,
     evaluate,
     report_to_json,
+    retrieve,
     sweep_alignment_weight,
     sweep_to_csv,
     sweep_to_json,
     sweep_to_svg,
     sweep_top_k,
 )
-from alignrag.training import TrainConfig, train
+from alignrag.index import build_index
+from alignrag.metrics import exact_match
+from alignrag.training import TrainConfig, sample_chunks, train
+from alignrag.vocab import Vocabulary, tokenize
+
+BETA_GRID = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+K_GRID = [1, 2, 3, 5, 8, 12]
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +38,53 @@ def trained():
         seed=0, dim=12, hidden=10, learning_rate=0.02, epochs=15, batch_size=4, top_k=3
     )
     return samples, train(samples, config)
+
+
+@pytest.fixture(scope="module")
+def multi_hop():
+    """A briefly trained frozen-encoder checkpoint and held-out multi-hop pairs."""
+    samples, _ = generate_synthetic(
+        SyntheticSpec(seed=5, n_samples=24, n_gold_evidence=2, n_distractors=12)
+    )
+    config = TrainConfig(
+        seed=0, dim=24, hidden=16, learning_rate=0.02, epochs=150, batch_size=4, lambda_=1.0,
+        beta=2.0, top_k=5, freeze_encoder=True, include_title=False,
+    )
+    texts = [t for s in samples for t in (s.question, s.answer)]
+    texts += [f"{title} {' '.join(sents)}" for s in samples for title, sents in s.context]
+    vocab = Vocabulary.from_texts(texts, hash_buckets=16)
+    return samples[16:], train(samples[:16], config, vocab=vocab)
+
+
+def per_sample_evaluate(dataset, ckpt, config):
+    """Reference for evaluate's preparation: the per-sample build_index + encode path it
+    replaced, one chunk at a time. Returns the per-sample records."""
+    vocab, enc = ckpt.vocab, ckpt.encoder
+    records = []
+    for sample in dataset:
+        chunks = sample_chunks(sample, config)
+        index = build_index(list(enumerate(text for _, text in chunks)), vocab, enc)
+        q = encode(sample.question, vocab, enc)
+        k = len(index) if config.oracle_evidence else config.top_k
+        results, agg = retrieve(q, index, k, config.tau, config.beta)
+        pred, retrieved, consistency, rate = "", [], None, None
+        if agg is not None:
+            trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
+            pred = vocab.decode(trace.tokens)
+            consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
+            rate = _support_rate(tokenize(pred), [index.text(r.chunk_id) for r in results])
+            alphas = dict(agg.source_weights.entries)
+            retrieved = [
+                {"chunk_id": r.chunk_id, "title": chunks[r.chunk_id][0], "score": r.score,
+                 "alpha": alphas[r.chunk_id]}
+                for r in results
+            ]
+        records.append(
+            {"id": sample.id, "retrieved": retrieved, "generated": pred,
+             "em": exact_match(pred, sample.answer), "consistency": consistency,
+             "support_rate": rate}
+        )
+    return records
 
 
 class TestEvaluate:
@@ -85,6 +144,63 @@ class TestEvaluate:
         with pytest.raises(EmptyScores):
             evaluate([], ckpt)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"beta": 8.0, "top_k": 12}, {"tau": 0.8}, {"oracle_evidence": True},
+         {"include_title": True, "top_k": 2}],
+        ids=["checkpoint", "sharp-deep", "tau", "oracle", "titled"],
+    )
+    def test_matches_per_sample_encode(self, multi_hop, overrides):
+        # The batched encode sums in another order than encode_ids: scores, alphas
+        # and consistency may move in the last bits, nothing else may move.
+        samples, ckpt = multi_hop
+        config = dataclasses.replace(ckpt.config, **overrides)
+        got = evaluate(samples, ckpt, config).samples
+        want = per_sample_evaluate(samples, ckpt, config)
+        for g, w in zip(got, want, strict=True):
+            for key in ("id", "generated", "em"):
+                assert g[key] == w[key], key
+            assert len(g["retrieved"]) == len(w["retrieved"])
+            for gr, wr in zip(g["retrieved"], w["retrieved"]):
+                assert (gr["chunk_id"], gr["title"]) == (wr["chunk_id"], wr["title"])
+                assert abs(gr["score"] - wr["score"]) <= 1e-12
+                assert abs(gr["alpha"] - wr["alpha"]) <= 1e-12
+            for key in ("consistency", "support_rate"):
+                if w[key] is None:
+                    assert g[key] is None, key
+                else:
+                    assert abs(g[key] - w[key]) <= 1e-12, key
+
+    def test_each_distinct_text_tokenized_once(self, multi_hop, monkeypatch):
+        samples, ckpt = multi_hop
+        seen = []
+        encode_text = Vocabulary.encode
+        monkeypatch.setattr(Vocabulary, "encode", lambda self, text: seen.append(text) or encode_text(self, text))
+        evaluate(samples, ckpt)
+        texts = [s.question for s in samples]
+        texts += [text for s in samples for _, text in sample_chunks(s, ckpt.config)]
+        assert len(set(texts)) < len(texts)  # the samples share texts
+        assert sorted(seen) == sorted(set(texts))
+
+    def test_degenerate_encoding_rejected(self, trained):
+        samples, ckpt = trained
+        zeroed = dataclasses.replace(
+            ckpt, params={**ckpt.params, "enc_embed": np.zeros_like(ckpt.params["enc_embed"])}
+        )
+        with pytest.raises(DegenerateNorm):
+            evaluate(samples, zeroed)
+
+    def test_shared_chunk_cache_still_names_the_sample(self, trained):
+        _, ckpt = trained
+        config = dataclasses.replace(ckpt.config, include_title=False)
+        context = [("T1", ["alpha bravo"]), ("T2", ["charlie delta"])]
+        first = QASample("first", "alpha question", "bravo", context, [("T1", 0)])
+        second = QASample("second", "charlie question", "delta", context + [("T3", ["?!"])], [("T2", 0)])
+        with pytest.raises(EmptyInput, match="sample second: chunk 'T3'"):
+            evaluate([first, second], ckpt, config)
+        with pytest.raises(EmptyInput, match="sample second: chunk 'T3'"):
+            sweep_top_k([first, second], ckpt, [1, 2], config)
+
     def test_config_override_is_used(self, trained):
         samples, ckpt = trained
         override = dataclasses.replace(ckpt.config, beta=0.0, top_k=1)
@@ -113,6 +229,26 @@ class TestSweeps:
         direct = evaluate(samples, ckpt, dataclasses.replace(ckpt.config, beta=1.0))
         assert report_to_json(sweep.reports[1]) == report_to_json(direct)
 
+    @pytest.mark.parametrize(
+        "param, grid, run",
+        [("beta", BETA_GRID, sweep_alignment_weight), ("top_k", K_GRID, sweep_top_k)],
+        ids=["beta", "top_k"],
+    )
+    def test_every_point_is_byte_identical_to_evaluate(self, multi_hop, param, grid, run):
+        samples, ckpt = multi_hop
+        sweep = run(samples, ckpt, grid)
+        direct = SweepResult(
+            param_name=param,
+            grid=[float(v) for v in grid],
+            reports=[evaluate(samples, ckpt, dataclasses.replace(ckpt.config, **{param: v})) for v in grid],
+        )
+        assert len({r.metrics.em for r in direct.reports}) > 1
+        for got, want in zip(sweep.reports, direct.reports, strict=True):
+            assert report_to_json(got) == report_to_json(want)
+        assert sweep_to_json(sweep) == sweep_to_json(direct)
+        assert sweep_to_csv(sweep) == sweep_to_csv(direct)
+        assert sweep_to_svg(sweep) == sweep_to_svg(direct)
+
     def test_k_sweep_isolates_one_parameter(self, trained):
         samples, ckpt = trained
         sweep = sweep_top_k(samples, ckpt, [1, 2, 4])
@@ -132,6 +268,10 @@ class TestSweeps:
             sweep_top_k(samples, ckpt, [0, 1, 2])  # k must be >= 1
         with pytest.raises(ValueError):
             sweep_top_k(samples, ckpt, [2, 2, 3])  # strictly increasing
+        with pytest.raises(InvalidGrid):
+            sweep_alignment_weight(samples, ckpt, [])
+        with pytest.raises(InvalidGrid):
+            sweep_top_k(samples, ckpt, [])
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ from alignrag import training
 from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
 from alignrag.decoder import initial_state, pooled_generation_repr, step
 from alignrag.encoder import encode
-from alignrag.errors import DimMismatch, InvalidTokenId, LengthMismatch
+from alignrag.errors import DimMismatch, EmptyInput, InvalidTokenId, LengthMismatch
 from alignrag.evaluation import retrieve
 from alignrag.index import EvidenceIndex, build_index, filter_by_threshold, top_k
 from alignrag.serialization import write_container
@@ -549,6 +549,29 @@ class TestTrain:
         ckpt = train(samples, config, vocab=vocab)
         assert ckpt.vocab is vocab
         assert ckpt.params["enc_embed"].shape[0] == vocab.size
+
+    def test_each_distinct_text_tokenized_once(self, monkeypatch):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=11, n_samples=6, n_gold_evidence=2, n_distractors=4)
+        )
+        config = TrainConfig(seed=1, dim=8, hidden=6, epochs=2, batch_size=4, freeze_encoder=True)
+        vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=8)
+        seen = []
+        encode_text = Vocabulary.encode
+        monkeypatch.setattr(Vocabulary, "encode", lambda self, text: seen.append(text) or encode_text(self, text))
+        train(samples, config, vocab=vocab)
+        texts = [t for s in samples for t in (s.question, s.answer)]
+        texts += [text for s in samples for _, text in sample_chunks(s, config)]
+        assert len(set(texts)) < len(texts)  # the samples share texts
+        assert sorted(seen) == sorted(set(texts))
+
+    def test_shared_chunk_cache_still_names_the_sample(self):
+        context = [("T1", ["alpha bravo"]), ("T2", ["charlie delta"])]
+        first = QASample("first", "alpha question", "bravo", context, [("T1", 0)])
+        second = QASample("second", "charlie question", "delta", context + [("T3", ["?!"])], [("T2", 0)])
+        config = TrainConfig(dim=8, hidden=6, epochs=1, include_title=False)
+        with pytest.raises(EmptyInput, match="sample second: chunk 'T3'"):
+            train([first, second], config)
 
     def test_empty_dataset_rejected(self):
         from alignrag.errors import EmptyScores
