@@ -13,7 +13,6 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .decoder import fused_gates, gru_cell
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
@@ -271,6 +270,9 @@ def decoder_losses(
     unit-normalised w_pool projection of its mean state. Shorter answers
     are padded; a padded step's state is computed but never read.
     """
+    # Not at module top: decoder imports encoder, which imports this module.
+    from .decoder import fused_gates, gru_cell
+
     p = {name: params[name].value for name in _DECODER_NAMES}
     q_val, e_val = q.value, e.value
     lengths = np.array([len(a) + 1 for a in answers])

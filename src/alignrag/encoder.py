@@ -3,21 +3,25 @@
 One embedding table, learned with the decoder, mean pooling over token
 embeddings, then L2 normalization. The same parameters encode every
 piece of text, so query and evidence vectors live in a single
-comparable space.
+comparable space. encode_rows is the one encode; encode_all runs it on a fixed table.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import DegenerateNorm, EmptyInput
 from .vocab import Vocabulary
 
 DEFAULT_DIM = 64
 INIT_SCALE = 0.08
 NORM_EPS = 1e-12
+# Id arrays per encode_rows call: bounds the row gather. Rows are independent, so no bit moves.
+_ENCODE_BLOCK = 64
 
 
 @dataclass
@@ -65,19 +69,35 @@ def init_encoder_params(vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0) 
     return EncoderParams(embedding=table)
 
 
-def encode_ids(ids, params: EncoderParams) -> np.ndarray:
-    """Mean-pool embedding rows and L2-normalize. Raw-array form of encode()."""
-    if len(ids) == 0:
-        raise EmptyInput("cannot encode an empty token sequence")
-    pooled = params.embedding[np.asarray(ids, dtype=np.intp)].mean(axis=0)
-    norm = np.linalg.norm(pooled)
-    if norm < NORM_EPS:
-        raise DegenerateNorm(f"pre-normalization norm {norm} below {NORM_EPS}")
-    return pooled / norm
+def encode_rows(embed: ad.Tensor, ids, lengths) -> ad.Tensor:
+    """The batched encode: row i mean-pools segment i's embedding rows, L2-normalized.
+
+    ids holds every segment's token ids, concatenated; lengths[i] is segment
+    i's count. A pooled row of near-zero norm raises DegenerateNorm.
+    """
+    pooled = ad.segment_mean(ad.gather_rows(embed, ids), lengths)
+    smallest = np.einsum("ij,ij->i", pooled.value, pooled.value).min()
+    if smallest < NORM_EPS**2:
+        raise DegenerateNorm(f"pre-normalization norm {smallest**0.5} below {NORM_EPS}")
+    return ad.l2_normalize_rows(pooled)
+
+
+def encode_all(table: np.ndarray, id_arrays) -> np.ndarray:
+    """encode_rows on a fixed table: one row per non-empty id array of the iterable.
+
+    The arrays are read and encoded _ENCODE_BLOCK at a time, so an iterator
+    that tokenizes lazily never holds more than one block of them.
+    """
+    embed = ad.const(table)
+    id_arrays = iter(id_arrays)
+    rows = []
+    while block := list(islice(id_arrays, _ENCODE_BLOCK)):
+        rows.append(encode_rows(embed, np.concatenate(block), [len(ids) for ids in block]).value)
+    return np.concatenate(rows)
 
 
 def encode(text: str, vocab: Vocabulary, params: EncoderParams) -> SemanticVector:
     ids = vocab.encode(text)
     if not ids:
         raise EmptyInput(f"text tokenized to nothing: {text!r}")
-    return SemanticVector(encode_ids(ids, params), normalized=True)
+    return SemanticVector(encode_all(params.embedding, [ids])[0], normalized=True)

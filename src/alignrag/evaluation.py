@@ -3,15 +3,16 @@
 retrieve() is the one retrieval path of the pipeline: top-k ->
 threshold -> weight -> aggregate. evaluate() runs encode -> retrieve ->
 greedy decode -> metrics for every sample and emits a fully attributed,
-deterministic report. Each call tokenizes every distinct text once and
-encodes each sample's question and chunks as one batch, with the
-training tape's encode. The two sweeps vary exactly one parameter (the
-alignment-weight temperature beta, or retrieval top-k): they prepare
-the samples once and rerun retrieve -> decode -> metrics per grid point.
+deterministic report. Each call tokenizes and encodes every distinct
+question and chunk text once, with the encoder's one batched encode.
+The two sweeps vary exactly one parameter (the alignment-weight
+temperature beta, or retrieval top-k): they prepare the samples once
+and rerun retrieve -> decode -> metrics per grid point.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -19,20 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .aggregation import EvidenceAggregate, aggregate, normalize_weights
 from .data import QASample
 from .decoder import decode_greedy
 from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, top_k
-from .metrics import MetricReport, bleu, exact_match, rouge_l, score_corpus, token_f1
-from .training import Checkpoint, TrainConfig, _encode_rows, _prepare
+from .metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
+from .training import Checkpoint, TrainConfig, _prepare_samples
 from .vocab import tokenize
 
 REPORT_SCHEMA_VERSION = 1
-# Distinct texts per encode call: bounds the (tokens, dim) row gather. Each
-# row depends on its own text only, so the block size changes no bit.
-_ENCODE_BLOCK = 64
 
 
 @dataclass
@@ -73,14 +70,12 @@ def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
     return h.hexdigest()[:16]
 
 
-def _support_rate(pred_tokens: list[str], retained_texts: list[str]) -> float | None:
-    """Fraction of generated content tokens present in retained evidence."""
+def _support_rate(pred_tokens: list[str], retained_tokens: list[frozenset[str]]) -> float | None:
+    """Fraction of generated content tokens present in the retained chunks' token sets."""
     content = [t for t in pred_tokens if not t.startswith("<")]
     if not content:
         return None
-    evidence_tokens = set()
-    for text in retained_texts:
-        evidence_tokens.update(tokenize(text))
+    evidence_tokens = set().union(*retained_tokens)
     return sum(1 for t in content if t in evidence_tokens) / len(content)
 
 
@@ -99,51 +94,29 @@ def retrieve(
     return results, aggregate(weights, index)
 
 
-@dataclass
-class _EvalSample:
-    """A sample tokenized and encoded once: its question row and chunk index."""
-
-    sample: QASample
-    titles: list[str]
-    q: np.ndarray
-    index: EvidenceIndex
-
-
-def _prepare_eval(dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig):
-    """Tokenize and encode each distinct question and chunk text once, then give
-    every sample its question row and an index over its chunk rows."""
+def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides: list[dict]):
+    """One report per override of config (default: the checkpoint's). Each distinct
+    question and chunk text is tokenized and encoded once for all of them."""
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
-    cache: dict[str, np.ndarray] = {}
-    preps = [_prepare(s, ckpt.vocab, config, cache, answer=False) for s in dataset]
-    texts = list(cache)  # each distinct question and chunk text, once
-    embed = ad.const(ckpt.params["enc_embed"])
-    rows = []
-    for start in range(0, len(texts), _ENCODE_BLOCK):
-        block = [cache[t] for t in texts[start : start + _ENCODE_BLOCK]]
-        rows.append(_encode_rows(embed, np.concatenate(block), [ids.size for ids in block]).value)
-    rows = np.concatenate(rows)
-    slot = {text: i for i, text in enumerate(texts)}
+    base = config if config is not None else ckpt.config
+    preps = _prepare_samples(dataset, ckpt.vocab, base, ckpt.params["enc_embed"], answer=False)
+    prepared = [(p, EvidenceIndex(range(len(p.texts)), p.texts, p.rows[1:])) for p in preps]
+    # Each chunk text is tokenized once for every report; the cache ends with the call.
+    chunk_tokens = functools.cache(lambda text: frozenset(tokenize(text)))
     return [
-        _EvalSample(
-            sample,
-            prep.titles,
-            rows[slot[sample.question]],
-            EvidenceIndex(range(len(prep.texts)), prep.texts, rows[[slot[t] for t in prep.texts]]),
-        )
-        for sample, prep in zip(dataset, preps)
+        _evaluate_prepared(prepared, ckpt, dataclasses.replace(base, **o), chunk_tokens)
+        for o in overrides
     ]
 
 
-def _evaluate_prepared(
-    prepared: list[_EvalSample], ckpt: Checkpoint, config: TrainConfig
-) -> EvalReport:
-    """retrieve -> greedy decode -> metrics for every prepared sample under config."""
+def _evaluate_prepared(prepared, ckpt: Checkpoint, config: TrainConfig, chunk_tokens) -> EvalReport:
+    """retrieve -> greedy decode -> metrics under config for every (prepared sample, chunk
+    index) pair; chunk_tokens gives a chunk text's token set."""
     vocab = ckpt.vocab
     records = []
-    preds: list[str] = []
-    for item in prepared:
-        sample, index, q = item.sample, item.index, item.q
+    for prep, index in prepared:
+        q = prep.rows[0]
         k = len(index) if config.oracle_evidence else config.top_k
         results, agg = retrieve(q, index, k, config.tau, config.beta)
         # A retrieval failure generates "", which is scored like any prediction.
@@ -152,36 +125,39 @@ def _evaluate_prepared(
             trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
             pred = vocab.decode(trace.tokens)
             consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
-            rate = _support_rate(tokenize(pred), [index.text(r.chunk_id) for r in results])
+            retained = [chunk_tokens(index.text(r.chunk_id)) for r in results]
+            rate = _support_rate(tokenize(pred), retained)
             alphas = dict(agg.source_weights.entries)
             retrieved = [
                 {
                     "chunk_id": r.chunk_id,
-                    "title": item.titles[r.chunk_id],
+                    "title": prep.titles[r.chunk_id],
                     "score": r.score,
                     "alpha": alphas[r.chunk_id],
                 }
                 for r in results
             ]
-        preds.append(pred)
         records.append(
             {
-                "id": sample.id,
+                "id": prep.sample.id,
                 "retrieval_failure": agg is None,
                 "retrieved": retrieved,
                 "generated": pred,
-                "em": exact_match(pred, sample.answer),
-                "f1": token_f1(pred, sample.answer),
-                "bleu": bleu([pred], [sample.answer]),
-                "rouge_l": rouge_l(pred, sample.answer),
+                "em": exact_match(pred, prep.sample.answer),
+                "f1": token_f1(pred, prep.sample.answer),
+                "bleu": bleu([pred], [prep.sample.answer]),
+                "rouge_l": rouge_l(pred, prep.sample.answer),
                 "consistency": consistency,
                 "support_rate": rate,
             }
         )
+    # Corpus metrics: per-record values summed in record order and scaled as in score_corpus.
+    n = len(records)
+    means = [100 * (sum(r[key] for r in records) / n) for key in ("em", "f1", "bleu", "rouge_l")]
     consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
     support_rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
     return EvalReport(
-        metrics=score_corpus(preds, [item.sample.answer for item in prepared]),
+        metrics=MetricReport(*means, n_samples=n),
         config=config.as_dict(),
         checkpoint_fingerprint=checkpoint_fingerprint(ckpt),
         samples=records,
@@ -195,8 +171,7 @@ def evaluate(
     dataset: list[QASample], ckpt: Checkpoint, config: TrainConfig | None = None
 ) -> EvalReport:
     """Pure function of (checkpoint, dataset, config); reports are byte-stable."""
-    config = config if config is not None else ckpt.config
-    return _evaluate_prepared(_prepare_eval(dataset, ckpt, config), ckpt, config)
+    return _evaluate_each(dataset, ckpt, config, [{}])[0]
 
 
 def _check_grid(grid, name: str, minimum=None, integer=False) -> list[float]:
@@ -227,9 +202,7 @@ def sweep_alignment_weight(
     grid = _check_grid(beta_grid, "beta", minimum=0.0)
     if len(grid) < 3 or grid[0] != 0.0:
         raise InvalidGrid("beta grid needs >= 3 strictly increasing values starting at 0")
-    base = config if config is not None else ckpt.config
-    prepared = _prepare_eval(dataset, ckpt, base)
-    reports = [_evaluate_prepared(prepared, ckpt, dataclasses.replace(base, beta=b)) for b in grid]
+    reports = _evaluate_each(dataset, ckpt, config, [{"beta": b} for b in grid])
     return SweepResult(param_name="beta", grid=grid, reports=reports)
 
 
@@ -241,11 +214,7 @@ def sweep_top_k(
 ) -> SweepResult:
     """evaluate() at each retrieval depth k, everything else fixed; samples are prepared once."""
     grid = _check_grid(k_grid, "top_k", minimum=1, integer=True)
-    base = config if config is not None else ckpt.config
-    prepared = _prepare_eval(dataset, ckpt, base)
-    reports = [
-        _evaluate_prepared(prepared, ckpt, dataclasses.replace(base, top_k=int(k))) for k in grid
-    ]
+    reports = _evaluate_each(dataset, ckpt, config, [{"top_k": int(k)} for k in grid])
     return SweepResult(param_name="top_k", grid=grid, reports=reports)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_ids, values_of
+from .encoder import EncoderParams, encode_all, values_of
 from .errors import (
     CheckpointError,
     DimMismatch,
@@ -76,13 +76,16 @@ def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceInd
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    rows = []
-    for chunk_id, text in corpus:
-        ids = vocab.encode(text)
-        if not ids:
-            raise EmptyInput(f"chunk {chunk_id}: text tokenized to nothing: {text!r}")
-        rows.append(encode_ids(ids, params))
-    return EvidenceIndex([cid for cid, _ in corpus], [text for _, text in corpus], np.stack(rows))
+
+    def token_ids():
+        for chunk_id, text in corpus:
+            ids = vocab.encode(text)
+            if not ids:
+                raise EmptyInput(f"chunk {chunk_id}: text tokenized to nothing: {text!r}")
+            yield ids
+
+    rows = encode_all(params.embedding, token_ids())
+    return EvidenceIndex([cid for cid, _ in corpus], [text for _, text in corpus], rows)
 
 
 def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:

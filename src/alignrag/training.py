@@ -16,10 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .data import QASample, evidence_texts
 from .decoder import decoder_shapes, init_decoder_params
-from .encoder import NORM_EPS, EncoderParams, init_encoder_params, values_of
+from .encoder import EncoderParams, encode_all, encode_rows, init_encoder_params, values_of
 from .errors import (
     CheckpointError,
-    DegenerateNorm,
     DimMismatch,
     EmptyInput,
     EmptyScores,
@@ -197,12 +196,14 @@ def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]
 class _PreparedSample:
     """A sample tokenized once: what the tape and evaluate read of it."""
 
-    id: str
+    sample: QASample
     ids: np.ndarray  # question token ids, then each chunk's, concatenated
     lengths: list[int]  # the question's length, then each chunk's
     titles: list[str]  # chunk titles and texts, in sample_chunks order
     texts: list[str]
     answer_ids: list[int] | None  # None when prepared without the answer
+    # The question's row, then each chunk's, set by _prepare_samples given a fixed table.
+    rows: np.ndarray | None = None
     # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
     # therefore depend on no trainable parameter.
     frozen: tuple[np.ndarray, np.ndarray] | None = None
@@ -240,7 +241,7 @@ def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=
         if not answer_ids:
             raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
     return _PreparedSample(
-        id=sample.id,
+        sample=sample,
         ids=np.concatenate(segments),
         lengths=[len(ids) for ids in segments],
         titles=[title for title, _ in chunks],
@@ -249,35 +250,37 @@ def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=
     )
 
 
-def _prepare_samples(samples, vocab: Vocabulary, config: TrainConfig) -> list[_PreparedSample]:
-    """Prepare every sample with one token cache: each distinct text is tokenized once."""
+def _prepare_samples(
+    samples, vocab: Vocabulary, config: TrainConfig, table=None, answer=True
+) -> list[_PreparedSample]:
+    """Prepare every sample with one token cache, so each distinct text is tokenized once;
+    given a fixed encoder table, also encode each distinct question and chunk text once."""
     cache: dict[str, np.ndarray] = {}
-    return [_prepare(s, vocab, config, cache) for s in samples]
-
-
-def _encode_rows(embed: ad.Tensor, ids, lengths) -> ad.Tensor:
-    """The batched encode: row i mean-pools segment i's embedding rows, L2-normalized.
-
-    Like encode_ids, raises DegenerateNorm for a pooled row of near-zero norm.
-    """
-    pooled = ad.segment_mean(ad.gather_rows(embed, ids), lengths)
-    smallest = np.einsum("ij,ij->i", pooled.value, pooled.value).min()
-    if smallest < NORM_EPS**2:
-        raise DegenerateNorm(f"pre-normalization norm {math.sqrt(smallest)} below {NORM_EPS}")
-    return ad.l2_normalize_rows(pooled)
+    preps = [_prepare(s, vocab, config, cache, answer) for s in samples]
+    if table is not None:
+        segments = [(p.sample.question, *p.texts) for p in preps]
+        slot = {text: i for i, text in enumerate(dict.fromkeys(t for ts in segments for t in ts))}
+        rows = encode_all(table, (cache[text] for text in slot))
+        for prep, texts in zip(preps, segments):
+            prep.rows = rows[[slot[text] for text in texts]]
+    return preps
 
 
 def _evidence_tape(prep: _PreparedSample, embed: ad.Tensor, config: TrainConfig):
-    """Encode question and chunks as one batch, select evidence as inference does,
-    then weight and aggregate it on the tape. Returns (q, e)."""
-    rows = _encode_rows(embed, prep.ids, prep.lengths)
+    """Encode question and chunks as one batch, then select, weight and aggregate."""
+    return _select_evidence(prep, encode_rows(embed, prep.ids, prep.lengths), config)
+
+
+def _select_evidence(prep: _PreparedSample, rows: ad.Tensor, config: TrainConfig):
+    """Select evidence as inference does from rows (question first), then weight and
+    aggregate it on the tape. Returns (q, e)."""
     q = ad.row(rows, 0)
     n = len(prep.texts)
     index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
     k = n if config.oracle_evidence else config.top_k
     picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     if not picked:
-        raise EmptyScores(f"sample {prep.id}: threshold {config.tau} retained nothing")
+        raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
     d = ad.gather_rows(rows, picked)
     alphas = ad.softmax(ad.scale(ad.matvec(d, q), config.beta))
     if not config.differentiable_weights:
@@ -423,13 +426,14 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
     """Tokenize every sample once; with a frozen encoder, also fix its q and e.
 
     train() never passes a frozen enc_embed to Adam, so q and e are constants
-    of each sample: they are recorded once, by the code the joint path runs.
+    of each sample: each distinct text is encoded once, and the selection the
+    joint path runs records them from those rows.
     """
-    prepared = _prepare_samples(dataset, vocab, config)
-    if config.freeze_encoder:
-        frozen_embed = ad.const(params["enc_embed"])
-        for prep in prepared:
-            prep.frozen = tuple(t.value for t in _evidence_tape(prep, frozen_embed, config))
+    if not config.freeze_encoder:
+        return _prepare_samples(dataset, vocab, config)
+    prepared = _prepare_samples(dataset, vocab, config, table=params["enc_embed"])
+    for prep in prepared:
+        prep.frozen = tuple(t.value for t in _select_evidence(prep, ad.const(prep.rows), config))
     return prepared
 
 
@@ -464,8 +468,8 @@ def train(
         for start in batches:
             batch = [prepared[i] for i in order[start : start + config.batch_size]]
             breakdowns, grads = joint_loss_and_grads(batch, vocab, params, config)
-            for sample, breakdown in zip(batch, breakdowns):
-                _check_finite(breakdown, f"sample {sample.id} (epoch {epoch})")
+            for prep, breakdown in zip(batch, breakdowns):
+                _check_finite(breakdown, f"sample {prep.sample.id} (epoch {epoch})")
             epoch_losses += breakdowns
             opt.update(params, grads)
         log.append(_mean_breakdown(epoch_losses, config.lambda_))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from alignrag import autodiff as ad
 from alignrag.encoder import (
     EncoderParams,
     SemanticVector,
     encode,
-    encode_ids,
+    encode_rows,
     init_encoder_params,
 )
 from alignrag.errors import DegenerateNorm, EmptyInput
@@ -54,7 +55,7 @@ class TestEncode:
         ids = [2, 5, 5, 7]
         expected = table[ids].mean(axis=0)
         expected = expected / np.linalg.norm(expected)
-        got = encode_ids(ids, params)
+        got = encode_rows(ad.const(params.embedding), ids, [len(ids)]).value[0]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_output_is_unit_norm(self, tiny_vocab, tiny_encoder):
@@ -67,10 +68,6 @@ class TestEncode:
         b = encode("alpha bravo", tiny_vocab, tiny_encoder)
         assert np.array_equal(a.values, b.values)
 
-    def test_empty_ids_rejected(self, tiny_encoder):
-        with pytest.raises(EmptyInput):
-            encode_ids([], tiny_encoder)
-
     def test_empty_text_rejected(self, tiny_vocab, tiny_encoder):
         with pytest.raises(EmptyInput):
             encode("...", tiny_vocab, tiny_encoder)
@@ -78,11 +75,11 @@ class TestEncode:
     def test_degenerate_norm_detected(self):
         params = EncoderParams(embedding=np.zeros((4, 3)))
         with pytest.raises(DegenerateNorm):
-            encode_ids([0, 1], params)
+            encode_rows(ad.const(params.embedding), [0, 1], [2])
 
     def test_cancelling_rows_are_degenerate(self):
         table = np.zeros((2, 3))
         table[0] = [1.0, -2.0, 0.5]
         table[1] = -table[0]
         with pytest.raises(DegenerateNorm):
-            encode_ids([0, 1], EncoderParams(embedding=table))
+            encode_rows(ad.const(table), [0, 1], [2])

@@ -72,7 +72,9 @@ def per_sample_evaluate(dataset, ckpt, config):
             trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
             pred = vocab.decode(trace.tokens)
             consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
-            rate = _support_rate(tokenize(pred), [index.text(r.chunk_id) for r in results])
+            rate = _support_rate(
+                tokenize(pred), [set(tokenize(index.text(r.chunk_id))) for r in results]
+            )
             alphas = dict(agg.source_weights.entries)
             retrieved = [
                 {"chunk_id": r.chunk_id, "title": chunks[r.chunk_id][0], "score": r.score,

@@ -57,6 +57,27 @@ class TestBuild:
         with pytest.raises(EmptyInput, match="chunk 7"):
             build_index([(7, "...")], tiny_vocab, tiny_encoder)
 
+    def test_rows_across_encode_blocks_match_encode(self, tiny_vocab, tiny_encoder):
+        # 150 chunks span three encode blocks of 64, with repeated texts and
+        # ids in descending order; "zulu" is out of vocabulary.
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "zulu"]
+        texts = [" ".join(words[i * j % 6] for j in range(1, 2 + i % 5)) for i in range(150)]
+        assert len(set(texts)) < len(texts)
+        corpus = [(1000 - i, text) for i, text in enumerate(texts)]
+        idx = build_index(corpus, tiny_vocab, tiny_encoder)
+        for chunk_id, text in corpus:
+            row = idx.matrix[idx.row(chunk_id)]
+            assert np.array_equal(row, encode(text, tiny_vocab, tiny_encoder).values)
+            expected = tiny_encoder.embedding[tiny_vocab.encode(text)].mean(axis=0)
+            expected = expected / np.linalg.norm(expected)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
+
+    def test_empty_chunk_past_first_block_names_offender(self, tiny_vocab, tiny_encoder):
+        corpus = [(i, "alpha bravo") for i in range(100)]
+        corpus[70] = (70, "...")
+        with pytest.raises(EmptyInput, match="chunk 70:"):
+            build_index(corpus, tiny_vocab, tiny_encoder)
+
     def test_contains_and_chunk_lookup(self, index):
         assert 3 in index
         assert 99 not in index

@@ -1,4 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import alignrag
+
+PACKAGE_DIR = Path(alignrag.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 
 # The public API. Its size is a design measure: a name added here should
 # replace more than it adds.
@@ -60,3 +70,18 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in alignrag.__all__:
         assert getattr(alignrag, name) is not None, name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # Whichever module is imported first must not meet a partly initialised
+    # one through an import cycle.
+    path = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import alignrag.{module}"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
