@@ -147,6 +147,10 @@ def decode_greedy(
     max_len: int = DEFAULT_MAX_LEN,
 ) -> GenerationTrace:
     """Greedy decode from the encoded query; argmax ties resolve to the lowest token id."""
+    return _decode_greedy(q_vec, evidence, params, fused_gates(params), max_len)
+
+
+def _decode_greedy(q_vec, evidence, params, gates, max_len):
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     e = evidence.vector.values
@@ -155,7 +159,6 @@ def decode_greedy(
     states: list[np.ndarray] = []
     dists: list[np.ndarray] = []
     prev = BOS_ID
-    gates = fused_gates(params)
     for _ in range(max_len):
         dist, h = _step(prev, h, e, params, gates)
         tok = int(np.argmax(dist))  # first (lowest-id) max wins

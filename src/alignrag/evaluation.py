@@ -22,7 +22,7 @@ import numpy as np
 
 from .aggregation import EvidenceAggregate, aggregate, normalize_weights
 from .data import QASample
-from .decoder import decode_greedy
+from .decoder import _decode_greedy, fused_gates
 from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, top_k
 from .metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
@@ -102,17 +102,24 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
     base = config if config is not None else ckpt.config
     preps = _prepare_samples(dataset, ckpt.vocab, base, ckpt.params["enc_embed"], answer=False)
     prepared = [(p, EvidenceIndex(range(len(p.texts)), p.texts, p.rows[1:])) for p in preps]
-    # Each chunk text is tokenized once for every report; the cache ends with the call.
+    # Each chunk text is tokenized once for every report, and the gates are
+    # stacked and the checkpoint hashed once; all of it ends with the call.
     chunk_tokens = functools.cache(lambda text: frozenset(tokenize(text)))
+    gates, fingerprint = fused_gates(ckpt.params), checkpoint_fingerprint(ckpt)
     return [
-        _evaluate_prepared(prepared, ckpt, dataclasses.replace(base, **o), chunk_tokens)
+        _evaluate_prepared(
+            prepared, ckpt, dataclasses.replace(base, **o), chunk_tokens, gates, fingerprint
+        )
         for o in overrides
     ]
 
 
-def _evaluate_prepared(prepared, ckpt: Checkpoint, config: TrainConfig, chunk_tokens) -> EvalReport:
+def _evaluate_prepared(
+    prepared, ckpt: Checkpoint, config: TrainConfig, chunk_tokens, gates, fingerprint: str
+) -> EvalReport:
     """retrieve -> greedy decode -> metrics under config for every (prepared sample, chunk
-    index) pair; chunk_tokens gives a chunk text's token set."""
+    index) pair; chunk_tokens gives a chunk text's token set, gates are
+    fused_gates(ckpt.params) and fingerprint is checkpoint_fingerprint(ckpt)."""
     vocab = ckpt.vocab
     records = []
     for prep, index in prepared:
@@ -122,7 +129,7 @@ def _evaluate_prepared(prepared, ckpt: Checkpoint, config: TrainConfig, chunk_to
         # A retrieval failure generates "", which is scored like any prediction.
         pred, retrieved, consistency, rate = "", [], None, None
         if agg is not None:
-            trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
+            trace = _decode_greedy(q, agg, ckpt.params, gates, config.max_len)
             pred = vocab.decode(trace.tokens)
             consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
             retained = [chunk_tokens(index.text(r.chunk_id)) for r in results]
@@ -159,7 +166,7 @@ def _evaluate_prepared(prepared, ckpt: Checkpoint, config: TrainConfig, chunk_to
     return EvalReport(
         metrics=MetricReport(*means, n_samples=n),
         config=config.as_dict(),
-        checkpoint_fingerprint=checkpoint_fingerprint(ckpt),
+        checkpoint_fingerprint=fingerprint,
         samples=records,
         n_failures=sum(r["retrieval_failure"] for r in records),
         mean_consistency=float(np.mean(consistencies)) if consistencies else None,

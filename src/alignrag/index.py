@@ -3,7 +3,9 @@
 The index is flat: an ascending chunk-id array, the chunk texts, and one
 unit-norm row per chunk in a single matrix. Every query scores every
 row, so results are exact and directly comparable to an exhaustive
-oracle.
+oracle. Selection does not sort the corpus: one partition finds the
+k-th best score, and only the rows at or above it, which include every
+row tied with it, are sorted.
 """
 from __future__ import annotations
 
@@ -102,7 +104,13 @@ def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
         # Rows are unit norm by construction, so the dot product with the
         # normalized query is the cosine.
         scores = index.matrix @ (qv / qn)
-    order = np.lexsort((index.ids, -scores))[: min(k, len(index))]
+    # Every score at or above the k-th best is a candidate, so a tie block
+    # that straddles k is kept whole. ids ascend, so a stable sort of the
+    # candidates on -score breaks ties by ascending chunk id.
+    neg = -scores
+    kth = min(k, len(index)) - 1
+    candidates = (neg <= np.partition(neg, kth)[kth]).nonzero()[0]
+    order = candidates[neg[candidates].argsort(kind="stable")][:k]
     return [
         RetrievalResult(chunk_id=int(index.ids[i]), score=float(scores[i]), rank=r + 1)
         for r, i in enumerate(order)

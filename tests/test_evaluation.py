@@ -153,8 +153,10 @@ class TestEvaluate:
         ids=["checkpoint", "sharp-deep", "tau", "oracle", "titled"],
     )
     def test_matches_per_sample_encode(self, multi_hop, overrides):
-        # The batched encode sums in another order than encode_ids: scores, alphas
-        # and consistency may move in the last bits, nothing else may move.
+        # evaluate encodes each distinct text once for all samples, the reference
+        # one sample at a time; both run encoder.encode_rows, and the measured gap
+        # is 0.0. Scores, alphas and consistency may still move in the last bits if
+        # a summation order changes; nothing else may move.
         samples, ckpt = multi_hop
         config = dataclasses.replace(ckpt.config, **overrides)
         got = evaluate(samples, ckpt, config).samples

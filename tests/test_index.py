@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrag.encoder import encode
 from alignrag.errors import (
@@ -99,6 +101,90 @@ class TestTopK:
                     [r.score for r in got], scores[oracle], atol=1e-12
                 )
                 assert [r.rank for r in got] == list(range(1, k + 1))
+
+    @staticmethod
+    def assert_matches_oracle(q, idx, k):
+        """top_k against a full sort by (-score, position) on the exact cosine
+        scores; positions ascend with chunk ids."""
+        qn = np.linalg.norm(q)
+        scores = idx.matrix @ (q / qn) if qn >= 1e-12 else np.zeros(len(idx))
+        oracle = sorted(range(len(idx)), key=lambda i: (-scores[i], i))[:k]
+        got = top_k(q, idx, k)
+        assert [r.chunk_id for r in got] == idx.ids[oracle].tolist()
+        assert [r.score for r in got] == scores[oracle].tolist()
+        assert [r.rank for r in got] == list(range(1, len(oracle) + 1))
+
+    def test_tie_blocks_from_duplicate_rows(self, rng):
+        # 30 rows drawn from 4 vectors: every score comes in a tie block, and
+        # k walks through the inside and the edges of each block.
+        base = rng.normal(size=(4, 5))
+        rows = base[rng.integers(0, 4, size=30)]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        idx = EvidenceIndex(range(30), [f"c{i}" for i in range(30)], rows)
+        for q in (*base, rng.normal(size=5)):
+            for k in range(1, 31):
+                self.assert_matches_oracle(q, idx, k)
+
+    def test_k_inside_a_tie_block(self):
+        # Scores 1, 0.6 x4, 0: k = 3 cuts the block of four after its second
+        # member, which must be the two lowest ids of the block: 13 and 21.
+        a, b, c = np.array([1.0, 0.0]), np.array([0.6, 0.8]), np.array([0.0, 1.0])
+        ids = (40, 7, 13, 2, 99, 21)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], [b, c, b, a, b, b])
+        got = top_k(a, idx, 3)
+        assert [r.chunk_id for r in got] == [2, 13, 21]
+        assert [r.score for r in got] == [1.0, 0.6, 0.6]
+        self.assert_matches_oracle(a, idx, 3)
+
+    @pytest.mark.parametrize("k", [12, 13, 100])
+    def test_k_at_and_above_corpus_size(self, rng, k):
+        base = rng.normal(size=(3, 4))
+        rows = base[[0, 1, 2, 0, 1, 2, 0, 0, 1, 2, 2, 1]]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ids = rng.permutation(1000)[:12]
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], rows)
+        assert len(top_k(base[0], idx, k)) == 12
+        self.assert_matches_oracle(base[0], idx, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_zero_query_ties_everything(self, rng, k):
+        ids = (31, 5, 77, 0, 12, 64, 8, 50, 3)
+        rows = rng.normal(size=(9, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], rows)
+        got = top_k(np.zeros(3), idx, k)
+        assert [r.chunk_id for r in got] == sorted(ids)[:k]
+        assert [r.score for r in got] == [0.0] * k
+        self.assert_matches_oracle(np.zeros(3), idx, k)
+
+    def test_ids_out_of_order_and_not_dense(self, rng):
+        ids = rng.choice(10_000, size=25, replace=False)
+        base = rng.normal(size=(3, 6))
+        rows = base[rng.integers(0, 3, size=25)]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], rows)
+        for q in (*base, rng.normal(size=6)):
+            for k in (1, 5, 10, 25):
+                self.assert_matches_oracle(q, idx, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        dim=st.integers(1, 4),
+        k=st.integers(1, 25),
+        n_distinct=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        query=st.sampled_from(["row", "random", "zero"]),
+    )
+    def test_repeated_rows_property(self, n, dim, k, n_distinct, seed, query):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n_distinct, dim))
+        rows = base[rng.integers(0, n_distinct, size=n)]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ids = rng.choice(10 * n + 10, size=n, replace=False)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], rows)
+        q = {"row": base[0], "random": rng.normal(size=dim), "zero": np.zeros(dim)}[query]
+        self.assert_matches_oracle(q, idx, k)
 
     def test_ties_broken_by_ascending_id(self):
         v = np.array([1.0, 0.0])
