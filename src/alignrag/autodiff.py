@@ -1,19 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports exactly the graph the training objective needs: embedding
-lookups, affine maps, softmax/log-softmax, means and norms, and one
-coarse op, decoder_losses, that runs the whole teacher-forced decoder
-of a minibatch with a hand-derived backward pass through time. Shapes
-are scalars, vectors, and matrices; the only broadcasting allowed is
-scalar-with-array.
+Holds exactly the ops the training graph runs: embedding lookups,
+affine maps, softmax/log-softmax, segment means and row norms. A coarse
+op elsewhere, such as decoder.decoder_losses, is a Tensor whose grad_fns
+the op derives by hand. Shapes are scalars, vectors, and matrices; the
+only broadcasting allowed is scalar-with-array. This module imports no
+other alignrag module.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-
-from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
 class Tensor:
@@ -25,22 +23,6 @@ class Tensor:
         self.parents = parents
         self.grad_fns = grad_fns
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-
-    # Operator sugar for readability; all logic lives in module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def item(self) -> float:
-        return float(self.value)
 
 
 def const(value) -> Tensor:
@@ -86,17 +68,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(
-        a.value * b.value,
-        parents=(a, b),
-        grad_fns=(
-            lambda g: _unbroadcast(g * b.value, a.value.shape),
-            lambda g: _unbroadcast(g * a.value, b.value.shape),
-        ),
-    )
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.value * c, parents=(a,), grad_fns=(lambda g: g * c,))
 
@@ -116,23 +87,6 @@ def vecmat(v: Tensor, m: Tensor) -> Tensor:
         v.value @ m.value,
         parents=(v, m),
         grad_fns=(lambda g: m.value @ g, lambda g: np.outer(v.value, g)),
-    )
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(
-        a.value @ b.value,
-        parents=(a, b),
-        grad_fns=(lambda g: g * b.value, lambda g: g * a.value),
-    )
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    na = a.value.shape[0]
-    return Tensor(
-        np.concatenate([a.value, b.value]),
-        parents=(a, b),
-        grad_fns=(lambda g: g[:na], lambda g: g[na:]),
     )
 
 
@@ -165,15 +119,6 @@ def row(m: Tensor, i: int) -> Tensor:
     return Tensor(m.value[i], parents=(m,), grad_fns=(grad_m,))
 
 
-def element(v: Tensor, i: int) -> Tensor:
-    def grad_v(g):
-        out = np.zeros_like(v.value)
-        out[i] = g
-        return out
-
-    return Tensor(v.value[i], parents=(v,), grad_fns=(grad_v,))
-
-
 def segment_mean(m: Tensor, lengths) -> Tensor:
     """Mean of each run of consecutive rows: segment i is the next lengths[i] rows of m."""
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -192,16 +137,6 @@ def sum_all(t: Tensor) -> Tensor:
     return Tensor(np.sum(t.value), parents=(t,), grad_fns=(lambda g: g * np.ones_like(t.value),))
 
 
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.value)
-    return Tensor(out, parents=(t,), grad_fns=(lambda g: g * (1.0 - out * out),))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-t.value))
-    return Tensor(out, parents=(t,), grad_fns=(lambda g: g * out * (1.0 - out),))
-
-
 def exp(t: Tensor) -> Tensor:
     out = np.exp(t.value)
     return Tensor(out, parents=(t,), grad_fns=(lambda g: g * out,))
@@ -209,21 +144,6 @@ def exp(t: Tensor) -> Tensor:
 
 def log(t: Tensor) -> Tensor:
     return Tensor(np.log(t.value), parents=(t,), grad_fns=(lambda g: g / t.value,))
-
-
-def sqrt(t: Tensor) -> Tensor:
-    out = np.sqrt(t.value)
-    return Tensor(out, parents=(t,), grad_fns=(lambda g: g / (2.0 * out),))
-
-
-def reciprocal(t: Tensor) -> Tensor:
-    out = 1.0 / t.value
-    return Tensor(out, parents=(t,), grad_fns=(lambda g: -g * out * out,))
-
-
-def l2_normalize(v: Tensor) -> Tensor:
-    norm = sqrt(dot(v, v))
-    return mul(v, reciprocal(norm))
 
 
 def l2_normalize_rows(m: Tensor) -> Tensor:
@@ -247,144 +167,6 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 def softmax(logits: Tensor) -> Tensor:
     return exp(log_softmax(logits))
-
-
-# Decoder tensors decoder_losses reads, in the order of its parents after q and e.
-_DECODER_NAMES = (
-    "embed", "w_init", "w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
-    "b_z", "b_r", "b_h", "w_out", "b_out", "w_pool",
-)
-
-
-def decoder_losses(
-    params: Mapping[str, Tensor], q: Tensor, e: Tensor, answers, cons_eps: float
-) -> Tensor:
-    """Teacher-forced decoding of a minibatch as one tape node.
-
-    Row b of q and e (both (B, D)) belongs to the answer token ids
-    answers[b]: the decoder starts from tanh(W_init q_b), reads BOS then
-    the answer and predicts the answer then EOS, with e_b fused into every
-    step's output layer. The (2, B) result holds each sample's mean NLL
-    over its own steps (row 0) and its consistency loss
-    sqrt(||h_gen - e_b||^2 + eps) - sqrt(eps) (row 1), where h_gen is the
-    unit-normalised w_pool projection of its mean state. Shorter answers
-    are padded; a padded step's state is computed but never read.
-    """
-    # Not at module top: decoder imports encoder, which imports this module.
-    from .decoder import fused_gates, gru_cell
-
-    p = {name: params[name].value for name in _DECODER_NAMES}
-    q_val, e_val = q.value, e.value
-    lengths = np.array([len(a) + 1 for a in answers])
-    batch, steps = len(answers), int(lengths.max())
-    inputs = np.full((steps, batch), PAD_ID)  # time-major
-    targets = np.full((steps, batch), PAD_ID)
-    for b, ans in enumerate(answers):
-        inputs[: lengths[b], b] = [BOS_ID, *ans]
-        targets[: lengths[b], b] = [*ans, EOS_ID]
-    live = np.arange(steps)[:, None] < lengths  # (T, B)
-    inv_len = 1.0 / lengths
-
-    # Forward: every input projection in one matmul, then one cell per step.
-    w_x, b_x, u_zr = fused_gates(p)
-    hidden = u_zr.shape[1]
-    x = p["embed"][inputs.reshape(-1)]  # (T*B, D)
-    x_proj = (x @ w_x.T).reshape(steps, batch, -1)
-    states = np.empty((steps + 1, batch, hidden))
-    states[0] = np.tanh(q_val @ p["w_init"].T)
-    gates = np.empty((3, steps, batch, hidden))
-    for t in range(steps):
-        states[t + 1], *cell_gates = gru_cell(x_proj[t], states[t], b_x, u_zr, p["u_h"])
-        gates[:, t] = cell_gates
-    z, r, cand = gates
-
-    # Output layer on the live steps only: one matmul, a row-wise log-softmax.
-    t_idx, b_idx = np.nonzero(live)
-    fused = np.concatenate([states[1:][t_idx, b_idx], e_val[b_idx]], axis=1)
-    logits = fused @ p["w_out"].T + p["b_out"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(len(t_idx))
-    tgt = targets[t_idx, b_idx]
-    nll = np.bincount(b_idx, -(shifted[rows, tgt] - lse), minlength=batch) * inv_len
-
-    mean_state = (states[1:] * live[:, :, None]).sum(axis=0) * inv_len[:, None]
-    pooled = mean_state @ p["w_pool"].T
-    inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", pooled, pooled))
-    h_gen = pooled * inv_norm[:, None]
-    diff = h_gen - e_val
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff) + cons_eps)
-    cons = dist - np.sqrt(cons_eps)
-
-    def backward_all(g):
-        g_nll, g_cons = g
-        grads = {}
-        # Consistency branch back to w_pool and the mean state.
-        d_diff = (g_cons / dist)[:, None] * diff
-        d_e = -d_diff
-        d_pooled = d_diff - h_gen * np.sum(d_diff * h_gen, axis=1, keepdims=True)
-        d_pooled *= inv_norm[:, None]
-        grads["w_pool"] = d_pooled.T @ mean_state
-        d_states = live[:, :, None] * ((d_pooled @ p["w_pool"]) * inv_len[:, None])
-        # NLL branch: softmax minus one-hot, each row weighted by its sample's 1/T.
-        coef = (g_nll * inv_len)[b_idx]
-        d_logits = np.exp(shifted - lse[:, None]) * coef[:, None]
-        d_logits[rows, tgt] -= coef
-        grads["w_out"] = d_logits.T @ fused
-        grads["b_out"] = d_logits.sum(axis=0)
-        d_fused = d_logits @ p["w_out"]
-        d_states[t_idx, b_idx] += d_fused[:, :hidden]
-        d_e_steps = np.zeros((steps, batch, e_val.shape[1]))
-        d_e_steps[t_idx, b_idx] = d_fused[:, hidden:]
-        grads["e"] = d_e + d_e_steps.sum(axis=0)
-        # Through time: pre-activation gradients [a_z, a_r, a_cand] of every step.
-        d_pre = np.empty((steps, batch, 3 * hidden))
-        d_h = np.zeros((batch, hidden))
-        for t in reversed(range(steps)):
-            d_h = d_h + d_states[t]
-            h_prev = states[t]
-            d_cand_pre = d_h * z[t] * (1.0 - cand[t] * cand[t])
-            d_rh = d_cand_pre @ p["u_h"]
-            d_pre[t, :, :hidden] = d_h * (cand[t] - h_prev) * z[t] * (1.0 - z[t])
-            d_pre[t, :, hidden : 2 * hidden] = d_rh * h_prev * r[t] * (1.0 - r[t])
-            d_pre[t, :, 2 * hidden :] = d_cand_pre
-            d_h = d_h * (1.0 - z[t]) + d_rh * r[t] + d_pre[t, :, : 2 * hidden] @ u_zr
-        flat = d_pre.reshape(-1, 3 * hidden)
-        d_u_zr = flat[:, : 2 * hidden].T @ states[:-1].reshape(-1, hidden)
-        grads["u_h"] = flat[:, 2 * hidden :].T @ (r * states[:-1]).reshape(-1, hidden)
-        d_w_x = flat.T @ x
-        d_b_x = flat.sum(axis=0)
-        grads["embed"] = np.zeros_like(p["embed"])
-        np.add.at(grads["embed"], inputs.reshape(-1), flat @ w_x)
-        for names, d in (
-            (("w_z", "w_r", "w_h"), d_w_x),
-            (("b_z", "b_r", "b_h"), d_b_x),
-            (("u_z", "u_r"), d_u_zr),
-        ):
-            grads.update(zip(names, np.split(d, len(names))))
-        d_init = d_h * (1.0 - states[0] * states[0])
-        grads["w_init"] = d_init.T @ q_val
-        grads["q"] = d_init @ p["w_init"]
-        return grads
-
-    memo: dict = {}
-
-    def grad_of(name):
-        def fn(g):
-            # backward() hands the same g to every parent; derive them all once.
-            if memo.get("g") is not g:
-                memo.clear()
-                memo.update(backward_all(g), g=g)
-            return memo[name]
-
-        return fn
-
-    names = ("q", "e", *_DECODER_NAMES)
-    return Tensor(
-        np.stack([nll, cons]),
-        parents=(q, e, *(params[name] for name in _DECODER_NAMES)),
-        grad_fns=tuple(grad_of(name) for name in names),
-    )
 
 
 def backward(loss: Tensor) -> None:

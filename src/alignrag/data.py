@@ -126,6 +126,9 @@ def load_hotpotqa(path) -> list[QASample]:
                 raise SchemaError(f"{path}: record {rid} missing field {field!r}")
         for field in ("_id", "question", "answer"):
             _check_string(record[field], f"{path}: record {rid} field {field!r}")
+        for field in ("supporting_facts", "context"):
+            if not isinstance(record[field], list):
+                raise SchemaError(f"{path}: record {rid} field {field!r} is not an array")
         context = []
         for entry in record["context"]:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
@@ -207,8 +210,8 @@ def read_corpus(path) -> list[tuple[int, str]]:
                 raise ParseError(f"{path}:{lineno}: {err.msg}", offset=err.pos) from err
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise SchemaError(f"{path}:{lineno}: corpus line needs 'id' and 'text'")
-            if type(obj["id"]) is not int:
-                raise SchemaError(f"{path}:{lineno}: corpus id {obj['id']!r} is not an integer")
+            if type(obj["id"]) is not int or not -(2**63) <= obj["id"] < 2**63:
+                raise SchemaError(f"{path}:{lineno}: corpus id {obj['id']!r} is not a 64-bit integer")
             _check_string(obj["text"], f"{path}:{lineno}: corpus text")
             corpus.append((obj["id"], obj["text"]))
     return corpus

@@ -1,12 +1,15 @@
 """Evidence-constrained autoregressive decoder.
 
-A single gated recurrent cell, gru_cell, produces the generation state
-h_t for greedy decoding and for the training tape alike; the
-evidence aggregate e is concatenated with h_t at EVERY step before the
-output projection, so the constraint is continuous rather than
-prefix-only. Decoding is greedy and fully deterministic. Every function
-reads its weights by name from one flat parameter mapping, a
-checkpoint's params.
+Each stage is written once, on (B, ·) rows: the initial state
+tanh(q W_init^T), the gated recurrent cell gru_cell, the output logits
+[h; e] W_out^T + b_out and the generation representation
+unit(mean_state W_pool^T). The evidence aggregate e enters the output
+layer at EVERY step, so the constraint is continuous rather than
+prefix-only. Greedy decoding runs the stages on one row and takes the
+argmax of the logits; decoder_losses, the training tape's decoder op,
+runs them on a teacher-forced minibatch and adds a hand-derived
+backward pass through time. Every function reads its weights by name
+from one flat parameter mapping, a checkpoint's params.
 """
 from __future__ import annotations
 
@@ -15,16 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import EvidenceAggregate, softmax
-from .encoder import INIT_SCALE, SemanticVector, values_of
-from .errors import DegenerateNorm, DimMismatch, EmptyTrace, InvalidTokenId
-from .vocab import BOS_ID, EOS_ID
+from . import autodiff as ad
+from .aggregation import EvidenceAggregate
+from .encoder import INIT_SCALE, values_of
+from .errors import DegenerateNorm, DimMismatch, InvalidTokenId
+from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 DEFAULT_HIDDEN = 64
 DEFAULT_MAX_LEN = 32
 
-# Gate tensor names; decoder_shapes derives every tensor shape from them.
-_GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
+# The decoder's tensors, in the order of decoder_losses' parents after q and e.
+_NAMES = (
+    "embed", "w_init", "w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
+    "b_z", "b_r", "b_h", "w_out", "b_out", "w_pool",
+)
 
 
 def decoder_shapes(vocab_size: int, dim: int, hidden: int) -> dict[str, tuple]:
@@ -35,14 +42,8 @@ def decoder_shapes(vocab_size: int, dim: int, hidden: int) -> dict[str, tuple]:
         "b_out": (vocab_size,),
         "w_pool": (dim, hidden),
     }
-    for name in _GATE_NAMES:
-        if name.startswith("w_"):
-            shapes[name] = (hidden, dim)
-        elif name.startswith("u_"):
-            shapes[name] = (hidden, hidden)
-        else:
-            shapes[name] = (hidden,)
-    return shapes
+    gates = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
+    return {name: shapes.get(name) or gates[name[0]] for name in _NAMES}
 
 
 def init_decoder_params(
@@ -63,18 +64,7 @@ def init_decoder_params(
 class GenerationTrace:
     tokens: list[int]
     step_states: list[np.ndarray]
-    step_distributions: list[np.ndarray]
-    h_gen: SemanticVector
-
-
-def fuse(h: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Output logits from the concatenated (generation state, evidence)."""
-    w_out = params["w_out"]
-    if h.shape[0] + e.shape[0] != w_out.shape[1]:
-        raise DimMismatch(
-            f"fuse expects H+D={w_out.shape[1]}, got {h.shape[0]}+{e.shape[0]}"
-        )
-    return w_out @ np.concatenate([h, e]) + params["b_out"]
+    h_gen: np.ndarray
 
 
 def fused_gates(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,6 +81,11 @@ def fused_gates(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def initial_state(q: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The decoder's first state tanh(q W_init^T) for query rows q (B, D)."""
+    return np.tanh(q @ params["w_init"].T)
+
+
 def gru_cell(x_proj, h, b_x, u_zr, u_h):
     """One gated recurrent update of a batch of states h (B, H).
 
@@ -105,39 +100,24 @@ def gru_cell(x_proj, h, b_x, u_zr, u_h):
     return (1.0 - z) * h + z * cand, z, r, cand
 
 
-def step(
-    prev_token: int, h_prev: np.ndarray, e: np.ndarray, params: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One gated recurrent update followed by evidence-fused softmax."""
-    return _step(prev_token, h_prev, e, params, fused_gates(params))
-
-
-def _step(prev_token, h_prev, e, params, gates):
-    if not 0 <= prev_token < params["w_out"].shape[0]:
-        raise InvalidTokenId(f"token id {prev_token} outside vocabulary")
-    w_x, b_x, u_zr = gates
-    x_proj = params["embed"][prev_token][None, :] @ w_x.T
-    h, *_ = gru_cell(x_proj, h_prev[None, :], b_x, u_zr, params["u_h"])
-    return softmax(fuse(h[0], e, params)), h[0]
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def initial_state(query_vec: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
-    return np.tanh(params["w_init"] @ query_vec)
+def output_logits(h, e, params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Logits [h; e] W_out^T + b_out of states h (B, H) fused with evidence e (B, D).
+
+    Returns the logits and the fused rows [h; e].
+    """
+    fused = np.concatenate([h, e], axis=1)
+    return fused @ params["w_out"].T + params["b_out"], fused
 
 
-def pooled_generation_repr(step_states, params: Mapping[str, np.ndarray]) -> SemanticVector:
-    """Project the mean decoder state into the unified space and normalize."""
-    if not step_states:
-        raise EmptyTrace("no decoder states to pool")
-    pooled = params["w_pool"] @ np.mean(step_states, axis=0)
-    norm = np.linalg.norm(pooled)
-    if norm < 1e-12:
-        raise DegenerateNorm("pooled generation representation has near-zero norm")
-    return SemanticVector(pooled / norm, normalized=True)
+def generation_repr(mean_state, params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of mean_state (B, H) W_pool^T, and the reciprocal of each row's norm."""
+    pooled = mean_state @ params["w_pool"].T
+    inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", pooled, pooled))
+    return pooled * inv_norm[:, None], inv_norm
 
 
 def decode_greedy(
@@ -153,22 +133,154 @@ def decode_greedy(
 def _decode_greedy(q_vec, evidence, params, gates, max_len):
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    e = evidence.vector.values
-    h = initial_state(values_of(q_vec), params)
+    e = evidence.vector.values[None, :]
+    hidden, (vocab, width) = params["w_init"].shape[0], params["w_out"].shape
+    if hidden + e.shape[1] != width:
+        raise DimMismatch(f"the output layer expects H+D={width}, got {hidden}+{e.shape[1]}")
+    if vocab <= BOS_ID:
+        raise InvalidTokenId(f"token id {BOS_ID} outside vocabulary")
+    w_x, b_x, u_zr = gates
+    h = initial_state(values_of(q_vec)[None, :], params)
     tokens: list[int] = []
     states: list[np.ndarray] = []
-    dists: list[np.ndarray] = []
-    prev = BOS_ID
+    tok = BOS_ID
     for _ in range(max_len):
-        dist, h = _step(prev, h, e, params, gates)
-        tok = int(np.argmax(dist))  # first (lowest-id) max wins
+        h, *_ = gru_cell(params["embed"][tok][None, :] @ w_x.T, h, b_x, u_zr, params["u_h"])
+        logits, _ = output_logits(h, e, params)
+        tok = int(np.argmax(logits[0]))  # first (lowest-id) max wins
         tokens.append(tok)
-        states.append(h)
-        dists.append(dist)
-        prev = tok
+        states.append(h[0])
         if tok == EOS_ID:
             break
-    h_gen = pooled_generation_repr(states, params)
-    return GenerationTrace(
-        tokens=tokens, step_states=states, step_distributions=dists, h_gen=h_gen
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero state is rejected below
+        h_gen, inv_norm = generation_repr(np.mean(states, axis=0)[None, :], params)
+    if inv_norm[0] > 1e12:
+        raise DegenerateNorm("pooled generation representation has near-zero norm")
+    if not np.all(np.isfinite(h_gen)):
+        raise ValueError("generation representation values must be finite")
+    return GenerationTrace(tokens=tokens, step_states=states, h_gen=h_gen[0])
+
+
+def decoder_losses(
+    params: Mapping[str, ad.Tensor], q: ad.Tensor, e: ad.Tensor, answers, cons_eps: float
+) -> ad.Tensor:
+    """Teacher-forced decoding of a minibatch as one tape node.
+
+    Row b of q and e (both (B, D)) belongs to the answer token ids
+    answers[b]: the decoder starts from tanh(W_init q_b), reads BOS then
+    the answer and predicts the answer then EOS, with e_b fused into every
+    step's output layer. The (2, B) result holds each sample's mean NLL
+    over its own steps (row 0) and its consistency loss
+    sqrt(||h_gen - e_b||^2 + eps) - sqrt(eps) (row 1), where h_gen is the
+    unit-normalised w_pool projection of its mean state. Shorter answers
+    are padded; a padded step's state is computed but never read.
+    """
+    p = {name: params[name].value for name in _NAMES}
+    q_val, e_val = q.value, e.value
+    lengths = np.array([len(a) + 1 for a in answers])
+    batch, steps = len(answers), int(lengths.max())
+    inputs = np.full((steps, batch), PAD_ID)  # time-major
+    targets = np.full((steps, batch), PAD_ID)
+    for b, ans in enumerate(answers):
+        inputs[: lengths[b], b] = [BOS_ID, *ans]
+        targets[: lengths[b], b] = [*ans, EOS_ID]
+    live = np.arange(steps)[:, None] < lengths  # (T, B)
+    inv_len = 1.0 / lengths
+
+    # Forward: every input projection in one matmul, then one cell per step.
+    w_x, b_x, u_zr = fused_gates(p)
+    hidden = u_zr.shape[1]
+    x = p["embed"][inputs.reshape(-1)]  # (T*B, D)
+    x_proj = (x @ w_x.T).reshape(steps, batch, -1)
+    states = np.empty((steps + 1, batch, hidden))
+    states[0] = initial_state(q_val, p)
+    gates = np.empty((3, steps, batch, hidden))
+    for t in range(steps):
+        states[t + 1], *cell_gates = gru_cell(x_proj[t], states[t], b_x, u_zr, p["u_h"])
+        gates[:, t] = cell_gates
+    z, r, cand = gates
+
+    # Output layer on the live steps only: one matmul, a row-wise log-softmax.
+    t_idx, b_idx = np.nonzero(live)
+    logits, fused = output_logits(states[1:][t_idx, b_idx], e_val[b_idx], p)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(len(t_idx))
+    tgt = targets[t_idx, b_idx]
+    nll = np.bincount(b_idx, -(shifted[rows, tgt] - lse), minlength=batch) * inv_len
+
+    mean_state = (states[1:] * live[:, :, None]).sum(axis=0) * inv_len[:, None]
+    h_gen, inv_norm = generation_repr(mean_state, p)
+    diff = h_gen - e_val
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff) + cons_eps)
+    cons = dist - np.sqrt(cons_eps)
+
+    def backward_all(g):
+        g_nll, g_cons = g
+        grads = {}
+        # Consistency branch back to w_pool and the mean state.
+        d_diff = (g_cons / dist)[:, None] * diff
+        d_e = -d_diff
+        d_pooled = d_diff - h_gen * np.sum(d_diff * h_gen, axis=1, keepdims=True)
+        d_pooled *= inv_norm[:, None]
+        grads["w_pool"] = d_pooled.T @ mean_state
+        d_states = live[:, :, None] * ((d_pooled @ p["w_pool"]) * inv_len[:, None])
+        # NLL branch: softmax minus one-hot, each row weighted by its sample's 1/T.
+        coef = (g_nll * inv_len)[b_idx]
+        d_logits = np.exp(shifted - lse[:, None]) * coef[:, None]
+        d_logits[rows, tgt] -= coef
+        grads["w_out"] = d_logits.T @ fused
+        grads["b_out"] = d_logits.sum(axis=0)
+        d_fused = d_logits @ p["w_out"]
+        d_states[t_idx, b_idx] += d_fused[:, :hidden]
+        d_e_steps = np.zeros((steps, batch, e_val.shape[1]))
+        d_e_steps[t_idx, b_idx] = d_fused[:, hidden:]
+        grads["e"] = d_e + d_e_steps.sum(axis=0)
+        # Through time: pre-activation gradients [a_z, a_r, a_cand] of every step.
+        d_pre = np.empty((steps, batch, 3 * hidden))
+        d_h = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            d_h = d_h + d_states[t]
+            h_prev = states[t]
+            d_cand_pre = d_h * z[t] * (1.0 - cand[t] * cand[t])
+            d_rh = d_cand_pre @ p["u_h"]
+            d_pre[t, :, :hidden] = d_h * (cand[t] - h_prev) * z[t] * (1.0 - z[t])
+            d_pre[t, :, hidden : 2 * hidden] = d_rh * h_prev * r[t] * (1.0 - r[t])
+            d_pre[t, :, 2 * hidden :] = d_cand_pre
+            d_h = d_h * (1.0 - z[t]) + d_rh * r[t] + d_pre[t, :, : 2 * hidden] @ u_zr
+        flat = d_pre.reshape(-1, 3 * hidden)
+        d_u_zr = flat[:, : 2 * hidden].T @ states[:-1].reshape(-1, hidden)
+        grads["u_h"] = flat[:, 2 * hidden :].T @ (r * states[:-1]).reshape(-1, hidden)
+        d_w_x = flat.T @ x
+        d_b_x = flat.sum(axis=0)
+        grads["embed"] = np.zeros_like(p["embed"])
+        np.add.at(grads["embed"], inputs.reshape(-1), flat @ w_x)
+        for names, d in (
+            (("w_z", "w_r", "w_h"), d_w_x),
+            (("b_z", "b_r", "b_h"), d_b_x),
+            (("u_z", "u_r"), d_u_zr),
+        ):
+            grads.update(zip(names, np.split(d, len(names))))
+        d_init = d_h * (1.0 - states[0] * states[0])
+        grads["w_init"] = d_init.T @ q_val
+        grads["q"] = d_init @ p["w_init"]
+        return grads
+
+    memo: dict = {}
+
+    def grad_of(name):
+        def fn(g):
+            # backward() hands the same g to every parent; derive them all once.
+            if memo.get("g") is not g:
+                memo.clear()
+                memo.update(backward_all(g), g=g)
+            return memo[name]
+
+        return fn
+
+    names = ("q", "e", *_NAMES)
+    return ad.Tensor(
+        np.stack([nll, cons]),
+        parents=(q, e, *(params[name] for name in _NAMES)),
+        grad_fns=tuple(grad_of(name) for name in names),
     )

@@ -41,10 +41,6 @@ class InvalidTokenId(AlignRagError):
     """Token id outside the vocabulary range."""
 
 
-class EmptyTrace(AlignRagError):
-    """Pooling requires at least one decoder state."""
-
-
 class LengthMismatch(AlignRagError):
     """Paired sequences have different lengths."""
 

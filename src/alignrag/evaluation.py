@@ -131,7 +131,7 @@ def _evaluate_prepared(
         if agg is not None:
             trace = _decode_greedy(q, agg, ckpt.params, gates, config.max_len)
             pred = vocab.decode(trace.tokens)
-            consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
+            consistency = float(np.linalg.norm(trace.h_gen - agg.vector.values))
             retained = [chunk_tokens(index.text(r.chunk_id)) for r in results]
             rate = _support_rate(tokenize(pred), retained)
             alphas = dict(agg.source_weights.entries)

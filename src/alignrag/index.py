@@ -123,16 +123,11 @@ def filter_by_threshold(results: list[RetrievalResult], tau: float) -> list[Retr
 
 
 def save_index(path, index: EvidenceIndex, vocab: Vocabulary, params: EncoderParams) -> None:
-    """Self-contained index file: entries, vocabulary, and embedding table.
-
-    The header's encoder_fingerprint identifies params; it is informational
-    and never read back.
-    """
+    """Self-contained index file: entries, vocabulary, and embedding table."""
     header = {
         "format_version": INDEX_FORMAT_VERSION,
         "dim": index.dim,
         "entry_count": len(index),
-        "encoder_fingerprint": params.fingerprint(),
         "entries": [{"id": i, "text": t} for i, t in zip(index.ids.tolist(), index.texts)],
         "vocab": {"tokens": vocab.tokens, "hash_buckets": vocab.hash_buckets},
     }
@@ -163,8 +158,8 @@ def load_index(path) -> tuple[EvidenceIndex, Vocabulary, EncoderParams]:
         raise CheckpointError(f"{path}: non-finite entry vector")
     if np.any(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_NORM_TOL):
         raise CheckpointError(f"{path}: entry vector with non-unit norm")
-    if not all(type(i) is int for i in ids):
-        raise CheckpointError(f"{path}: non-integer chunk id")
+    if not all(type(i) is int and -(2**63) <= i < 2**63 for i in ids):
+        raise CheckpointError(f"{path}: chunk id that is not a 64-bit integer")
     try:
         index = EvidenceIndex(ids, texts, vectors)
     except (DuplicateId, EmptyCorpus) as err:

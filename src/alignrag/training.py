@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import QASample, evidence_texts
-from .decoder import decoder_shapes, init_decoder_params
+from .decoder import decoder_losses, decoder_shapes, init_decoder_params
 from .encoder import EncoderParams, encode_all, encode_rows, init_encoder_params, values_of
 from .errors import (
     CheckpointError,
@@ -298,7 +298,7 @@ def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], conf
         else:
             pairs.append(_evidence_tape(prep, tensors["enc_embed"], config))
     q, e = (ad.stack(rows) for rows in zip(*pairs))
-    per_sample = ad.decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
+    per_sample = decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
     l_nll, l_cons = (
         ad.scale(ad.sum_all(ad.row(per_sample, i)), 1.0 / len(preps)) for i in (0, 1)
     )
@@ -516,23 +516,3 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{path}: non-finite values in array {name!r}")
     return Checkpoint(config=config, vocab=vocab, params=arrays, log=log)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference utilities (used by the gradient-check tests).
-# ---------------------------------------------------------------------------
-
-
-def numerical_gradient(loss_fn, params: dict[str, np.ndarray], name: str, index, h: float = 1e-5):
-    """Central finite difference of loss_fn at one parameter coordinate."""
-    original = params[name][index]
-    params[name][index] = original + h
-    up = loss_fn(params)
-    params[name][index] = original - h
-    down = loss_fn(params)
-    params[name][index] = original
-    return (up - down) / (2 * h)
-
-
-def relative_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))

@@ -1,0 +1,218 @@
+"""Test-only references: tape ops, finite differences and the per-vector decoder.
+
+Nothing in alignrag calls these. They are the independent paths the
+tests compare the library against: tape ops that only reference graphs
+use, central finite differences, the per-sample tape graphs the batched
+training path replaced, and the per-vector numpy decoder that greedy
+decoding replaced (one full softmax per step).
+"""
+import math
+
+import numpy as np
+
+from alignrag import autodiff as ad
+from alignrag import training
+from alignrag.aggregation import softmax
+from alignrag.decoder import fused_gates, gru_cell
+from alignrag.index import EvidenceIndex, filter_by_threshold, top_k
+from alignrag.training import sample_chunks
+from alignrag.vocab import BOS_ID, EOS_ID
+
+# ---------------------------------------------------------------------------
+# Tape ops that only the reference graphs use.
+# ---------------------------------------------------------------------------
+
+
+def mul(a, b):
+    return ad.Tensor(
+        a.value * b.value,
+        parents=(a, b),
+        grad_fns=(
+            lambda g: ad._unbroadcast(g * b.value, a.value.shape),
+            lambda g: ad._unbroadcast(g * a.value, b.value.shape),
+        ),
+    )
+
+
+def dot(a, b):
+    return ad.Tensor(
+        a.value @ b.value,
+        parents=(a, b),
+        grad_fns=(lambda g: g * b.value, lambda g: g * a.value),
+    )
+
+
+def concat(a, b):
+    na = a.value.shape[0]
+    return ad.Tensor(
+        np.concatenate([a.value, b.value]),
+        parents=(a, b),
+        grad_fns=(lambda g: g[:na], lambda g: g[na:]),
+    )
+
+
+def element(v, i: int):
+    def grad_v(g):
+        out = np.zeros_like(v.value)
+        out[i] = g
+        return out
+
+    return ad.Tensor(v.value[i], parents=(v,), grad_fns=(grad_v,))
+
+
+def tanh(t):
+    out = np.tanh(t.value)
+    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * (1.0 - out * out),))
+
+
+def sigmoid(t):
+    out = 1.0 / (1.0 + np.exp(-t.value))
+    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * out * (1.0 - out),))
+
+
+def sqrt(t):
+    out = np.sqrt(t.value)
+    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g / (2.0 * out),))
+
+
+def reciprocal(t):
+    out = 1.0 / t.value
+    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: -g * out * out,))
+
+
+def l2_normalize(v):
+    norm = sqrt(dot(v, v))
+    return mul(v, reciprocal(norm))
+
+
+# ---------------------------------------------------------------------------
+# Finite differences.
+# ---------------------------------------------------------------------------
+
+
+def numerical_gradient(loss_fn, params: dict[str, np.ndarray], name: str, index, h: float = 1e-5):
+    """Central finite difference of loss_fn at one parameter coordinate."""
+    original = params[name][index]
+    params[name][index] = original + h
+    up = loss_fn(params)
+    params[name][index] = original - h
+    down = loss_fn(params)
+    params[name][index] = original
+    return (up - down) / (2 * h)
+
+
+def relative_error(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+
+
+# ---------------------------------------------------------------------------
+# The per-vector numpy decoder: one state vector, a full softmax per step.
+# ---------------------------------------------------------------------------
+
+
+def initial_state(q, params):
+    return np.tanh(params["w_init"] @ q)
+
+
+def step(prev_token, h_prev, e, params):
+    """One gated recurrent update, then the softmax of the evidence-fused logits."""
+    w_x, b_x, u_zr = fused_gates(params)
+    x_proj = params["embed"][prev_token][None, :] @ w_x.T
+    h, *_ = gru_cell(x_proj, h_prev[None, :], b_x, u_zr, params["u_h"])
+    return softmax(params["w_out"] @ np.concatenate([h[0], e]) + params["b_out"]), h[0]
+
+
+def pooled_generation_repr(states, params):
+    pooled = params["w_pool"] @ np.mean(states, axis=0)
+    return pooled / np.linalg.norm(pooled)
+
+
+def decode_greedy(q, e, params, max_len):
+    """Tokens and h_gen of greedy decoding; the first (lowest-id) max of each softmax wins."""
+    h = initial_state(q, params)
+    tokens, states = [], []
+    prev = BOS_ID
+    for _ in range(max_len):
+        dist, h = step(prev, h, e, params)
+        prev = int(np.argmax(dist))
+        tokens.append(prev)
+        states.append(h)
+        if prev == EOS_ID:
+            break
+    return tokens, pooled_generation_repr(states, params)
+
+
+# ---------------------------------------------------------------------------
+# The per-sample tape graphs the batched training path replaced.
+# ---------------------------------------------------------------------------
+
+
+def per_chunk_evidence(sample, vocab, embed, config):
+    """Reference for the batched _evidence_tape: one tape subgraph per chunk, summed one by one."""
+
+    def encode(text):
+        ids = vocab.encode(text)
+        rows = ad.gather_rows(embed, ids)
+        pooled = ad.scale(ad.vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
+        return l2_normalize(pooled)
+
+    q = encode(sample.question)
+    chunks = sample_chunks(sample, config)
+    encoded = [encode(text) for _, text in chunks]
+    texts = [text for _, text in chunks]
+    index = EvidenceIndex(range(len(chunks)), texts, np.stack([d.value for d in encoded]))
+    k = len(chunks) if config.oracle_evidence else config.top_k
+    picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
+    scores = [dot(q, encoded[i]) for i in picked]
+    m = max(float(s.value) for s in scores)
+    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
+    total = weights[0]
+    for w in weights[1:]:
+        total = ad.add(total, w)
+    alphas = [mul(w, reciprocal(total)) for w in weights]
+    if not config.differentiable_weights:
+        alphas = [ad.detach(a) for a in alphas]
+    e = mul(alphas[0], encoded[picked[0]])
+    for a, i in zip(alphas[1:], picked[1:]):
+        e = ad.add(e, mul(a, encoded[i]))
+    return q, e
+
+
+def per_sample_loss_tape(sample, vocab, tensors, config):
+    """Reference for the batched decoder op: the per-sample, per-op loss graph it replaced."""
+
+    def gru_step(x, h, t):
+        z = sigmoid(ad.add(ad.add(ad.matvec(t["w_z"], x), ad.matvec(t["u_z"], h)), t["b_z"]))
+        r = sigmoid(ad.add(ad.add(ad.matvec(t["w_r"], x), ad.matvec(t["u_r"], h)), t["b_r"]))
+        cand = tanh(
+            ad.add(ad.add(ad.matvec(t["w_h"], x), ad.matvec(t["u_h"], mul(r, h))), t["b_h"])
+        )
+        one = ad.const(np.ones_like(h.value))
+        return ad.add(mul(ad.sub(one, z), h), mul(z, cand))
+
+    embed = tensors["enc_embed"]
+    if config.freeze_encoder:
+        embed = ad.detach(embed)
+    q, e = training._evidence_tape(training._prepare(sample, vocab, config), embed, config)
+    answer_ids = vocab.encode(sample.answer)
+    inputs = [BOS_ID] + answer_ids
+    targets = answer_ids + [EOS_ID]
+    h = tanh(ad.matvec(tensors["w_init"], q))
+    nll_terms = []
+    state_sum = None
+    for inp, tgt in zip(inputs, targets):
+        h = gru_step(ad.row(tensors["embed"], inp), h, tensors)
+        logits = ad.add(ad.matvec(tensors["w_out"], concat(h, e)), tensors["b_out"])
+        nll_terms.append(ad.scale(element(ad.log_softmax(logits), tgt), -1.0))
+        state_sum = h if state_sum is None else ad.add(state_sum, h)
+    l_nll = nll_terms[0]
+    for term in nll_terms[1:]:
+        l_nll = ad.add(l_nll, term)
+    l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
+    h_gen = l2_normalize(ad.matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
+    diff = ad.sub(h_gen, e)
+    l_cons = ad.sub(
+        sqrt(ad.add(dot(diff, diff), ad.const(training.CONS_EPS))),
+        ad.const(math.sqrt(training.CONS_EPS)),
+    )
+    return l_nll, l_cons, ad.add(l_nll, ad.scale(l_cons, config.lambda_))

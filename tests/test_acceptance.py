@@ -24,11 +24,10 @@ from alignrag.training import (
     init_params,
     joint_loss,
     joint_loss_and_grads,
-    numerical_gradient,
-    relative_error,
     train,
 )
 from alignrag.vocab import Vocabulary
+from reference import numerical_gradient, relative_error
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -1,13 +1,15 @@
 """Finite-difference validation of every tape primitive.
 
 Each op's analytic gradient is compared against an independent central
-finite-difference oracle at every input coordinate.
+finite-difference oracle at every input coordinate. The ops only the
+test references use live in tests/reference.py and are checked here too.
 """
 import numpy as np
 import pytest
 
 from alignrag import autodiff as ad
-from alignrag.decoder import decoder_shapes
+from alignrag.decoder import decoder_losses, decoder_shapes
+import reference as ref
 
 H = 1e-6
 TOL = 1e-6
@@ -33,11 +35,9 @@ def check_grads(build, arrays, tol=TOL, h=H):
             bumped = base.copy()
             bumped[idx] -= h
             minus[name] = bumped
-            up = build({n: ad.param(np.array(a, dtype=np.float64)) for n, a in plus.items()}).item()
-            down = build(
-                {n: ad.param(np.array(a, dtype=np.float64)) for n, a in minus.items()}
-            ).item()
-            numeric = (up - down) / (2 * h)
+            up = build({n: ad.param(np.array(a, dtype=np.float64)) for n, a in plus.items()})
+            down = build({n: ad.param(np.array(a, dtype=np.float64)) for n, a in minus.items()})
+            numeric = (float(up.value) - float(down.value)) / (2 * h)
             denom = max(1e-8, abs(analytic[idx]) + abs(numeric))
             assert abs(analytic[idx] - numeric) / denom < tol, (
                 f"{name}{idx}: analytic {analytic[idx]} vs numeric {numeric}"
@@ -51,67 +51,67 @@ def vecs(rng):
 
 class TestElementwise:
     def test_add(self, vecs):
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.add(t["a"], t["b"]), t["b"])), vecs)
+        check_grads(lambda t: ad.sum_all(ref.mul(ad.add(t["a"], t["b"]), t["b"])), vecs)
 
     def test_sub(self, vecs):
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.sub(t["a"], t["b"]), t["a"])), vecs)
+        check_grads(lambda t: ad.sum_all(ref.mul(ad.sub(t["a"], t["b"]), t["a"])), vecs)
 
     def test_mul(self, vecs):
-        check_grads(lambda t: ad.sum_all(ad.mul(t["a"], t["b"])), vecs)
+        check_grads(lambda t: ad.sum_all(ref.mul(t["a"], t["b"])), vecs)
 
     def test_scalar_broadcast(self, rng):
         arrays = {"a": rng.normal(size=4), "s": np.array(0.7)}
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.add(t["a"], t["s"]), t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ad.mul(t["s"], t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.mul(ad.add(t["a"], t["s"]), t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.mul(t["s"], t["a"])), arrays)
 
     def test_scale_and_neg(self, rng):
         arrays = {"a": rng.normal(size=5)}
         check_grads(lambda t: ad.sum_all(ad.scale(t["a"], -2.5)), arrays)
-        check_grads(lambda t: ad.sum_all(-t["a"]), arrays)
+        check_grads(lambda t: ad.sum_all(ad.scale(t["a"], -1.0)), arrays)
 
     def test_tanh_sigmoid_exp(self, rng):
         arrays = {"a": rng.normal(size=5)}
-        check_grads(lambda t: ad.sum_all(ad.tanh(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ad.sigmoid(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.sigmoid(t["a"])), arrays)
         check_grads(lambda t: ad.sum_all(ad.exp(t["a"])), arrays)
 
     def test_log_sqrt_reciprocal(self, rng):
         arrays = {"a": rng.uniform(0.5, 2.0, size=5)}
         check_grads(lambda t: ad.sum_all(ad.log(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ad.sqrt(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ad.reciprocal(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.sqrt(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.reciprocal(t["a"])), arrays)
 
 
 class TestLinear:
     def test_matvec(self, rng):
         arrays = {"m": rng.normal(size=(3, 4)), "v": rng.normal(size=4)}
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.matvec(t["m"], t["v"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ad.matvec(t["m"], t["v"]))), arrays)
 
     def test_dot(self, vecs):
-        check_grads(lambda t: ad.dot(t["a"], t["b"]), vecs)
+        check_grads(lambda t: ref.dot(t["a"], t["b"]), vecs)
 
     def test_concat(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=4)}
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.concat(t["a"], t["b"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ref.concat(t["a"], t["b"]))), arrays)
 
     def test_gather_rows_with_repeats(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
         ids = [1, 3, 1, 1]  # repeated rows must accumulate
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.gather_rows(t["m"], ids))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ad.gather_rows(t["m"], ids))), arrays)
 
     def test_row_and_element(self, rng):
         arrays = {"m": rng.normal(size=(3, 4))}
         check_grads(lambda t: ad.sum_all(ad.exp(ad.row(t["m"], 2))), arrays)
         arrays = {"v": rng.normal(size=5)}
-        check_grads(lambda t: ad.exp(ad.element(t["v"], 3)), arrays)
+        check_grads(lambda t: ad.exp(ref.element(t["v"], 3)), arrays)
 
     def test_vecmat(self, rng):
         arrays = {"v": rng.normal(size=3), "m": rng.normal(size=(3, 4))}
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.vecmat(t["v"], t["m"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ad.vecmat(t["v"], t["m"]))), arrays)
 
     def test_segment_mean_single_segment_and_sum_all(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
-        check_grads(lambda t: ad.sum_all(ad.tanh(ad.segment_mean(t["m"], [4]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ad.segment_mean(t["m"], [4]))), arrays)
 
     def test_segment_mean_of_gathered_rows(self, rng):
         arrays = {"m": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3))}
@@ -119,7 +119,7 @@ class TestLinear:
         lengths = [1, 3, 1, 2]  # two one-token segments
         check_grads(
             lambda t: ad.sum_all(
-                ad.mul(ad.segment_mean(ad.gather_rows(t["m"], ids), lengths), t["w"])
+                ref.mul(ad.segment_mean(ad.gather_rows(t["m"], ids), lengths), t["w"])
             ),
             arrays,
         )
@@ -136,7 +136,7 @@ class TestLinear:
     def test_stack(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=3), "w": rng.normal(size=(3, 3))}
         check_grads(
-            lambda t: ad.sum_all(ad.mul(ad.tanh(ad.stack([t["a"], t["b"], t["a"]])), t["w"])),
+            lambda t: ad.sum_all(ref.mul(ref.tanh(ad.stack([t["a"], t["b"], t["a"]])), t["w"])),
             arrays,
         )
 
@@ -162,7 +162,7 @@ class TestDecoderLosses:
         # round-off reaches 1e-6 of the smallest (1e-4) gradients: tol 1e-5.
         check_grads(
             lambda t: ad.sum_all(
-                ad.mul(ad.decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12), w)
+                ref.mul(decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12), w)
             ),
             arrays,
             tol=1e-5,
@@ -171,32 +171,32 @@ class TestDecoderLosses:
     def test_padding_changes_no_sample(self, rng):
         arrays = self.arrays(rng)
         t = {name: ad.const(arr) for name, arr in arrays.items()}
-        batched = ad.decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12).value
+        batched = decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12).value
         for b, answer in enumerate(self.ANSWERS):
             q, e = (ad.const(arrays[n][b : b + 1]) for n in ("q", "e"))
-            alone = ad.decoder_losses(t, q, e, [answer], 1e-12).value[:, 0]
+            alone = decoder_losses(t, q, e, [answer], 1e-12).value[:, 0]
             np.testing.assert_allclose(batched[:, b], alone, rtol=0, atol=1e-15)
 
 
 class TestComposite:
     def test_l2_normalize(self, rng):
         arrays = {"v": rng.normal(size=5), "w": rng.normal(size=5)}
-        check_grads(lambda t: ad.dot(ad.l2_normalize(t["v"]), t["w"]), arrays)
+        check_grads(lambda t: ref.dot(ref.l2_normalize(t["v"]), t["w"]), arrays)
 
     def test_l2_normalize_rows(self, rng):
         arrays = {"m": rng.normal(size=(3, 5)), "w": rng.normal(size=(3, 5))}
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
         got = ad.l2_normalize_rows(ad.const(arrays["m"])).value
         for row, v in zip(got, arrays["m"]):
-            np.testing.assert_allclose(row, ad.l2_normalize(ad.const(v)).value, atol=1e-15)
+            np.testing.assert_allclose(row, ref.l2_normalize(ad.const(v)).value, atol=1e-15)
 
     def test_log_softmax(self, rng):
         arrays = {"v": rng.normal(size=6)}
-        check_grads(lambda t: ad.element(ad.log_softmax(t["v"]), 2), arrays)
+        check_grads(lambda t: ref.element(ad.log_softmax(t["v"]), 2), arrays)
 
     def test_softmax(self, rng):
         arrays = {"v": rng.normal(size=6)}
-        check_grads(lambda t: ad.element(ad.softmax(t["v"]), 4), arrays)
+        check_grads(lambda t: ref.element(ad.softmax(t["v"]), 4), arrays)
 
     def test_softmax_values(self, rng):
         v = rng.normal(size=7)
@@ -209,18 +209,18 @@ class TestComposite:
     def test_diamond_graph_accumulates(self, rng):
         # a feeds the loss along two paths; grads must sum.
         arrays = {"a": rng.normal(size=4)}
-        check_grads(lambda t: ad.dot(ad.tanh(t["a"]), ad.exp(t["a"])), arrays)
+        check_grads(lambda t: ref.dot(ref.tanh(t["a"]), ad.exp(t["a"])), arrays)
 
 
 class TestMechanics:
     def test_backward_requires_scalar(self, rng):
         t = ad.param(rng.normal(size=3))
         with pytest.raises(ValueError):
-            ad.backward(ad.tanh(t))
+            ad.backward(ref.tanh(t))
 
     def test_detach_stops_gradient(self, rng):
         a = ad.param(rng.normal(size=3))
-        loss = ad.dot(ad.detach(a), a)
+        loss = ref.dot(ad.detach(a), a)
         ad.backward(loss)
         # Gradient flows only through the non-detached branch.
         np.testing.assert_allclose(a.grad, a.value, atol=1e-12)
@@ -234,7 +234,7 @@ class TestMechanics:
 
     def test_grad_accumulation_reset_between_backwards(self, rng):
         a = ad.param(rng.normal(size=3))
-        loss = ad.sum_all(ad.mul(a, a))
+        loss = ad.sum_all(ref.mul(a, a))
         ad.backward(loss)
         first = a.grad.copy()
         ad.backward(loss)

@@ -442,7 +442,9 @@ class TestMalformedInput:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["5", '{"id": "x", "text": "alpha"}'], ids=["non-object", "non-integer-id"]
+        "line",
+        ["5", '{"id": "x", "text": "alpha"}', '{"id": 1180591620717411303424, "text": "alpha"}'],
+        ids=["non-object", "non-integer-id", "id-outside-int64"],
     )
     def test_malformed_corpus_line_is_io_error(self, workdir, line, capsys):
         path = workdir["root"] / "bad_corpus.jsonl"
@@ -492,6 +494,15 @@ class TestMalformedInput:
         assert rc == cli.EXIT_IO
         assert "supporting fact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["supporting_facts", "context"])
+    def test_non_array_record_field_is_io_error(self, workdir, field, capsys):
+        records = json.loads(workdir["data"].read_text())
+        records[0][field] = 5
+        path = workdir["root"] / "bad_field.json"
+        path.write_text(json.dumps(records))
+        rc = cli.main(["train", str(path), "--out", str(workdir["root"] / "x.ckpt")])
+        assert rc == cli.EXIT_IO
+        assert f"field '{field}' is not an array" in capsys.readouterr().err
 
     def test_non_finite_checkpoint_payload_is_io_error(self, workdir, capsys):
         raw = bytearray(workdir["ckpt"].read_bytes())

@@ -81,6 +81,15 @@ class TestLoadHotpotqa:
         with pytest.raises(SchemaError, match="context"):
             load_hotpotqa(bad)
 
+    @pytest.mark.parametrize("field", ["supporting_facts", "context"])
+    def test_non_array_field_rejected(self, tmp_path, field):
+        bad = tmp_path / "bad.json"
+        record = {"_id": "r0", "question": "q", "answer": "a", "supporting_facts": [], "context": []}
+        record[field] = 5
+        bad.write_text(json.dumps([record]))
+        with pytest.raises(SchemaError, match=field):
+            load_hotpotqa(bad)
+
     def test_save_round_trip(self, tmp_path, hotpot_mini_path):
         samples = load_hotpotqa(hotpot_mini_path)
         out = tmp_path / "again.json"
@@ -134,6 +143,12 @@ class TestCorpusIO:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": 0}\n')
         with pytest.raises(SchemaError):
+            read_corpus(path)
+
+    def test_id_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 9223372036854775807, "text": "ok"}\n{"id": 9223372036854775808, "text": "x"}\n')
+        with pytest.raises(SchemaError, match=":2:"):
             read_corpus(path)
 
 

@@ -5,15 +5,17 @@ from alignrag.aggregation import EvidenceAggregate, EvidenceWeights
 from alignrag.decoder import (
     decode_greedy,
     decoder_shapes,
-    fuse,
+    fused_gates,
+    generation_repr,
+    gru_cell,
     init_decoder_params,
     initial_state,
-    pooled_generation_repr,
-    step,
+    output_logits,
 )
 from alignrag.encoder import SemanticVector, encode
-from alignrag.errors import DimMismatch, EmptyTrace, InvalidTokenId
+from alignrag.errors import DegenerateNorm, DimMismatch, InvalidTokenId
 from alignrag.vocab import EOS_ID
+import reference as ref
 
 DIM = 6  # matches the tiny_encoder fixture dimension
 HID = 3
@@ -50,14 +52,15 @@ class TestInit:
 
 
 class TestStepOracles:
-    def test_fuse_matches_manual_projection(self, params, rng):
-        h, e = rng.normal(size=HID), rng.normal(size=DIM)
-        expected = params["w_out"] @ np.concatenate([h, e]) + params["b_out"]
-        np.testing.assert_allclose(fuse(h, e, params), expected, atol=1e-12)
+    """Each stage on (B, ·) rows against a per-row numpy oracle."""
 
-    def test_fuse_dim_checked(self, params, rng):
-        with pytest.raises(DimMismatch):
-            fuse(rng.normal(size=HID + 1), rng.normal(size=DIM), params)
+    def test_fuse_matches_manual_projection(self, params, rng):
+        h, e = rng.normal(size=(3, HID)), rng.normal(size=(3, DIM))
+        logits, fused = output_logits(h, e, params)
+        for b in range(3):
+            expected = params["w_out"] @ np.concatenate([h[b], e[b]]) + params["b_out"]
+            np.testing.assert_allclose(logits[b], expected, atol=1e-12)
+        np.testing.assert_array_equal(fused, np.concatenate([h, e], axis=1))
 
     def test_step_matches_hand_rolled_cell(self, params, rng):
         # Independent re-derivation of the gated update with plain numpy.
@@ -70,38 +73,26 @@ class TestStepOracles:
         r = sig(p["w_r"] @ x + p["u_r"] @ h_prev + p["b_r"])
         cand = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h_prev) + p["b_h"])
         h_expect = (1 - z) * h_prev + z * cand
-        logits = p["w_out"] @ np.concatenate([h_expect, e]) + p["b_out"]
-        dist_expect = np.exp(logits - logits.max())
-        dist_expect /= dist_expect.sum()
-        dist, h = step(tok, h_prev, e, params)
-        np.testing.assert_allclose(h, h_expect, atol=1e-12)
-        np.testing.assert_allclose(dist, dist_expect, atol=1e-12)
-        assert abs(dist.sum() - 1.0) < 1e-12
-
-    def test_step_rejects_bad_token(self, params, rng):
-        h, e = rng.normal(size=HID), rng.normal(size=DIM)
-        with pytest.raises(InvalidTokenId):
-            step(-1, h, e, params)
-        with pytest.raises(InvalidTokenId):
-            step(params["w_out"].shape[0], h, e, params)
+        logits_expect = p["w_out"] @ np.concatenate([h_expect, e]) + p["b_out"]
+        w_x, b_x, u_zr = fused_gates(params)
+        h, *_ = gru_cell(x[None, :] @ w_x.T, h_prev[None, :], b_x, u_zr, p["u_h"])
+        logits, _ = output_logits(h, e[None, :], params)
+        np.testing.assert_allclose(h[0], h_expect, atol=1e-12)
+        np.testing.assert_allclose(logits[0], logits_expect, atol=1e-12)
 
     def test_initial_state_oracle(self, params, rng):
-        q = rng.normal(size=DIM)
-        np.testing.assert_allclose(
-            initial_state(q, params), np.tanh(params["w_init"] @ q), atol=1e-12
-        )
+        q = rng.normal(size=(3, DIM))
+        got = initial_state(q, params)
+        for b in range(3):
+            np.testing.assert_allclose(got[b], np.tanh(params["w_init"] @ q[b]), atol=1e-12)
 
     def test_pooled_repr_oracle(self, params, rng):
-        states = [rng.normal(size=HID) for _ in range(3)]
-        expected = params["w_pool"] @ np.mean(states, axis=0)
-        expected /= np.linalg.norm(expected)
-        got = pooled_generation_repr(states, params)
-        assert got.normalized
-        np.testing.assert_allclose(got.values, expected, atol=1e-12)
-
-    def test_pooled_repr_empty(self, params):
-        with pytest.raises(EmptyTrace):
-            pooled_generation_repr([], params)
+        means = rng.normal(size=(3, HID))
+        got, inv_norm = generation_repr(means, params)
+        for b in range(3):
+            pooled = params["w_pool"] @ means[b]
+            np.testing.assert_allclose(got[b], pooled / np.linalg.norm(pooled), atol=1e-12)
+            assert inv_norm[b] == pytest.approx(1 / np.linalg.norm(pooled), rel=1e-12)
 
 
 class TestGreedyDecode:
@@ -110,14 +101,13 @@ class TestGreedyDecode:
         a = decode_greedy(encode("alpha bravo", tiny_vocab, tiny_encoder), ev, params)
         b = decode_greedy(encode("alpha bravo", tiny_vocab, tiny_encoder), ev, params)
         assert a.tokens == b.tokens
-        np.testing.assert_array_equal(a.h_gen.values, b.h_gen.values)
+        np.testing.assert_array_equal(a.h_gen, b.h_gen)
 
     def test_respects_max_len(self, tiny_vocab, tiny_encoder, params, rng):
         ev = make_evidence(rng.normal(size=DIM))
         trace = decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=3)
         assert 1 <= len(trace.tokens) <= 3
         assert len(trace.step_states) == len(trace.tokens)
-        assert len(trace.step_distributions) == len(trace.tokens)
 
     def test_stops_at_eos(self, tiny_vocab, tiny_encoder, rng):
         # Bias the output layer so EOS dominates: decoding must stop at step 1.
@@ -142,12 +132,45 @@ class TestGreedyDecode:
         with pytest.raises(ValueError):
             decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params, max_len=0)
 
-    def test_evidence_changes_output_distribution(
-        self, tiny_vocab, tiny_encoder, params
-    ):
-        # The evidence vector enters every step's projection, so different
-        # evidence must shift the first-step distribution.
+    def test_evidence_width_checked(self, tiny_vocab, tiny_encoder, params):
+        q = encode("alpha", tiny_vocab, tiny_encoder)
+        with pytest.raises(DimMismatch):
+            decode_greedy(q, make_evidence(np.ones(DIM + 1)), params)
+
+    @pytest.mark.parametrize(
+        "scale, error", [(0.0, DegenerateNorm), (np.nan, ValueError)], ids=["zero", "nan"]
+    )
+    def test_pooled_state_checked(self, tiny_vocab, tiny_encoder, rng, scale, error):
+        params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=3)
+        params["w_pool"] = params["w_pool"] * scale
+        ev = make_evidence(rng.normal(size=DIM))
+        with pytest.raises(error):
+            decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params)
+
+    def test_output_layer_without_bos_rejected(self, tiny_vocab, tiny_encoder, params, rng):
+        params = {**params, "w_out": params["w_out"][:1], "b_out": params["b_out"][:1]}
+        ev = make_evidence(rng.normal(size=DIM))
+        with pytest.raises(InvalidTokenId):
+            decode_greedy(encode("alpha", tiny_vocab, tiny_encoder), ev, params)
+
+    def test_evidence_changes_the_generation(self, tiny_vocab, tiny_encoder, params):
+        # The evidence vector enters every step's output layer, so different
+        # evidence changes the greedy path and with it the pooled states.
         q = encode("alpha", tiny_vocab, tiny_encoder)
         t1 = decode_greedy(q, make_evidence([1.0, 0, 0, 0, 0, 0]), params)
         t2 = decode_greedy(q, make_evidence([-9.0, 5, 2, -7, 3, 1]), params)
-        assert not np.allclose(t1.step_distributions[0], t2.step_distributions[0])
+        assert t1.tokens != t2.tokens
+        assert not np.allclose(t1.h_gen, t2.h_gen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_vector_reference(self, tiny_vocab, tiny_encoder, seed):
+        rng = np.random.default_rng(seed)
+        params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=seed)
+        params = {name: arr * 20 for name, arr in params.items()}  # varied argmax paths
+        q = encode("alpha bravo charlie", tiny_vocab, tiny_encoder)
+        for _ in range(5):
+            e = rng.normal(size=DIM)
+            trace = decode_greedy(q, make_evidence(e), params, max_len=12)
+            tokens, h_gen = ref.decode_greedy(q.values, e, params, max_len=12)
+            assert trace.tokens == tokens
+            assert np.max(np.abs(trace.h_gen - h_gen)) <= 1e-12

@@ -71,7 +71,7 @@ def per_sample_evaluate(dataset, ckpt, config):
         if agg is not None:
             trace = decode_greedy(q, agg, ckpt.params, max_len=config.max_len)
             pred = vocab.decode(trace.tokens)
-            consistency = float(np.linalg.norm(trace.h_gen.values - agg.vector.values))
+            consistency = float(np.linalg.norm(trace.h_gen - agg.vector.values))
             rate = _support_rate(
                 tokenize(pred), [set(tokenize(index.text(r.chunk_id))) for r in results]
             )

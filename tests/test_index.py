@@ -261,6 +261,20 @@ class TestPersistence:
         save_index(p2, loaded, vocab2, params2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_with_encoder_fingerprint_loads(self, tmp_path, index, tiny_vocab, tiny_encoder):
+        # Files written before the header dropped this informational field still load.
+        from alignrag.serialization import read_container, write_container
+
+        path = tmp_path / "idx.bin"
+        save_index(path, index, tiny_vocab, tiny_encoder)
+        header, arrays = read_container(path, "index")
+        assert "encoder_fingerprint" not in header
+        header = {k: v for k, v in header.items() if k not in ("kind", "arrays")}
+        write_container(path, "index", {**header, "encoder_fingerprint": "0123abcd"}, arrays)
+        loaded, _, params = load_index(path)
+        np.testing.assert_array_equal(loaded.matrix, index.matrix)
+        np.testing.assert_array_equal(params.embedding, tiny_encoder.embedding)
+
     def test_wrong_kind_rejected(self, tmp_path, index, tiny_vocab, tiny_encoder):
         from alignrag.serialization import read_container
 
@@ -277,8 +291,10 @@ class TestPersistence:
             lambda h, a: h["entries"][1].update(id=h["entries"][0]["id"]),
             lambda h, a: h["entries"][1].update(id="1"),
             lambda h, a: h.update(entry_count=h["entry_count"] + 1),
+            lambda h, a: h["entries"][1].update(id=2**63),
         ],
-        ids=["non-unit-norm", "non-finite", "duplicate-id", "non-integer-id", "entry-count"],
+        ids=["non-unit-norm", "non-finite", "duplicate-id", "non-integer-id", "entry-count",
+             "id-outside-int64"],
     )
     def test_invalid_stored_index_rejected(self, tmp_path, index, tiny_vocab, tiny_encoder, corrupt):
         from alignrag.serialization import read_container, write_container

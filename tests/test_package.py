@@ -1,3 +1,5 @@
+import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -85,3 +87,38 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _imported(node) -> set[str]:
+    """The alignrag modules an import statement names; "__init__" is the package itself."""
+    if isinstance(node, ast.Import):
+        paths = [a.name for a in node.names]
+    elif node.module and (node.level or node.module != "alignrag"):
+        paths = [("alignrag." if node.level else "") + node.module]
+    else:  # from . import x or from alignrag import x: each x a module or a package name
+        paths = [f"alignrag.{a.name}" for a in node.names]
+    parts = [path.split(".") + [""] for path in paths]
+    return {p[1] if p[1] in MODULES else "__init__" for p in parts if p[0] == "alignrag"}
+
+
+def import_graph() -> dict[str, set[str]]:
+    """alignrag module -> the alignrag modules it imports anywhere, function bodies included."""
+    graph = {}
+    for module in [*MODULES, "__init__"]:
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        graph[module] = set().union(*map(_imported, imports)) - {module}
+    return graph
+
+
+def test_module_imports_form_no_cycle():
+    graph = import_graph()
+    assert "encoder" in graph["decoder"]  # the parser sees relative imports
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle: {' imports '.join(reversed(err.args[1]))}")
+
+
+def test_autodiff_imports_no_other_alignrag_module():
+    assert import_graph()["autodiff"] == set()

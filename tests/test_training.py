@@ -7,11 +7,11 @@ import pytest
 from alignrag import autodiff as ad
 from alignrag import training
 from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
-from alignrag.decoder import initial_state, pooled_generation_repr, step
+from alignrag.decoder import decode_greedy
 from alignrag.encoder import encode
 from alignrag.errors import DimMismatch, EmptyInput, InvalidTokenId, LengthMismatch
 from alignrag.evaluation import retrieve
-from alignrag.index import EvidenceIndex, build_index, filter_by_threshold, top_k
+from alignrag.index import build_index
 from alignrag.serialization import write_container
 from alignrag.training import (
     Checkpoint,
@@ -23,13 +23,12 @@ from alignrag.training import (
     joint_loss_and_grads,
     load_checkpoint,
     nll_loss,
-    numerical_gradient,
-    relative_error,
     sample_chunks,
     save_checkpoint,
     train,
 )
 from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+import reference as ref
 
 
 def tiny_sample():
@@ -147,37 +146,6 @@ PARITY_CASES = pytest.mark.parametrize(
 )
 
 
-def per_chunk_evidence(sample, vocab, embed, config):
-    """Reference for the batched _evidence_tape: one tape subgraph per chunk, summed one by one."""
-
-    def encode(text):
-        ids = vocab.encode(text)
-        rows = ad.gather_rows(embed, ids)
-        pooled = ad.scale(ad.vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
-        return ad.l2_normalize(pooled)
-
-    q = encode(sample.question)
-    chunks = sample_chunks(sample, config)
-    encoded = [encode(text) for _, text in chunks]
-    texts = [text for _, text in chunks]
-    index = EvidenceIndex(range(len(chunks)), texts, np.stack([d.value for d in encoded]))
-    k = len(chunks) if config.oracle_evidence else config.top_k
-    picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
-    scores = [ad.dot(q, encoded[i]) for i in picked]
-    m = max(s.item() for s in scores)
-    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
-    total = weights[0]
-    for w in weights[1:]:
-        total = ad.add(total, w)
-    alphas = [ad.mul(w, ad.reciprocal(total)) for w in weights]
-    if not config.differentiable_weights:
-        alphas = [ad.detach(a) for a in alphas]
-    e = ad.mul(alphas[0], encoded[picked[0]])
-    for a, i in zip(alphas[1:], picked[1:]):
-        e = ad.add(e, ad.mul(a, encoded[i]))
-    return q, e
-
-
 def multi_hop_setup(overrides):
     samples, _ = generate_synthetic(
         SyntheticSpec(seed=4, n_samples=2, n_gold_evidence=2, n_distractors=6)
@@ -193,30 +161,35 @@ def multi_hop_setup(overrides):
     return sample, config, vocab, params
 
 
+def inference_retrieve(sample, config, vocab, params):
+    """The inference path's query vector, kept results and evidence aggregate for a sample."""
+    encoder = Checkpoint(config=config, vocab=vocab, params=params).encoder
+    chunks = sample_chunks(sample, config)
+    index = build_index(list(enumerate(text for _, text in chunks)), vocab, encoder)
+    q = encode(sample.question, vocab, encoder)
+    k = len(chunks) if config.oracle_evidence else config.top_k
+    return (q, *retrieve(q, index, k, config.tau, config.beta))
+
+
 class TestTapeInferenceParity:
-    """The training tape and the inference path compute the same forward."""
+    """The training tape, the inference path and the per-vector numpy decoder agree."""
 
     @PARITY_CASES
     def test_multi_hop_sample_matches(self, overrides, n_kept):
         sample, config, vocab, params = multi_hop_setup(overrides)
-        ckpt = Checkpoint(config=config, vocab=vocab, params=params)
 
-        # Inference: retrieve, then teacher-forced decoder steps.
-        chunks = sample_chunks(sample, config)
-        index = build_index(list(enumerate(text for _, text in chunks)), vocab, ckpt.encoder)
-        q = encode(sample.question, vocab, ckpt.encoder)
-        k = len(chunks) if config.oracle_evidence else config.top_k
-        results, agg = retrieve(q, index, k, config.tau, config.beta)
+        # Inference: retrieve, then teacher-forced steps of the per-vector reference decoder.
+        q, results, agg = inference_retrieve(sample, config, vocab, params)
         assert len(results) == n_kept  # tau=0.9 cuts the top 3 to 2, and the 2 gold chunks to 1
         answer_ids = vocab.encode(sample.answer)
-        h = initial_state(q.values, params)
+        h = ref.initial_state(q.values, params)
         dists, states = [], []
         for tok in [BOS_ID] + answer_ids:
-            dist, h = step(tok, h, agg.vector.values, params)
+            dist, h = ref.step(tok, h, agg.vector.values, params)
             dists.append(dist)
             states.append(h)
         l_nll = nll_loss(dists, answer_ids + [EOS_ID])
-        l_cons = consistency_loss(pooled_generation_repr(states, params), agg.vector)
+        l_cons = consistency_loss(ref.pooled_generation_repr(states, params), agg.vector)
 
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
@@ -227,6 +200,15 @@ class TestTapeInferenceParity:
         assert np.max(np.abs(e_tape.value - agg.vector.values)) <= 1e-12
 
     @PARITY_CASES
+    def test_greedy_decode_matches_per_vector_reference(self, overrides, n_kept):
+        sample, config, vocab, params = multi_hop_setup(overrides)
+        q, _, agg = inference_retrieve(sample, config, vocab, params)
+        trace = decode_greedy(q, agg, params, max_len=config.max_len)
+        tokens, h_gen = ref.decode_greedy(q.values, agg.vector.values, params, config.max_len)
+        assert trace.tokens == tokens
+        assert np.max(np.abs(trace.h_gen - h_gen)) <= 1e-12
+
+    @PARITY_CASES
     def test_batched_evidence_matches_per_chunk_tape(self, overrides, n_kept):
         sample, config, vocab, params = multi_hop_setup(overrides)
         rng = np.random.default_rng(0)
@@ -235,54 +217,14 @@ class TestTapeInferenceParity:
         got, want = {}, {}
         for out, evidence in (
             (got, lambda embed: training._evidence_tape(prep, embed, config)),
-            (want, lambda embed: per_chunk_evidence(sample, vocab, embed, config)),
+            (want, lambda embed: ref.per_chunk_evidence(sample, vocab, embed, config)),
         ):
             embed = ad.param(params["enc_embed"])
             q, e = evidence(embed)
-            ad.backward(ad.add(ad.dot(q, u), ad.dot(e, v)))
+            ad.backward(ad.add(ref.dot(q, u), ref.dot(e, v)))
             out.update(q=q.value, e=e.value, grad=embed.grad)
         for name in ("q", "e", "grad"):
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
-
-
-def per_sample_loss_tape(sample, vocab, tensors, config):
-    """Reference for the batched decoder op: the per-sample, per-op loss graph it replaced."""
-
-    def gru_step(x, h, t):
-        z = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_z"], x), ad.matvec(t["u_z"], h)), t["b_z"]))
-        r = ad.sigmoid(ad.add(ad.add(ad.matvec(t["w_r"], x), ad.matvec(t["u_r"], h)), t["b_r"]))
-        cand = ad.tanh(
-            ad.add(ad.add(ad.matvec(t["w_h"], x), ad.matvec(t["u_h"], ad.mul(r, h))), t["b_h"])
-        )
-        one = ad.const(np.ones_like(h.value))
-        return ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, cand))
-
-    embed = tensors["enc_embed"]
-    if config.freeze_encoder:
-        embed = ad.detach(embed)
-    q, e = training._evidence_tape(training._prepare(sample, vocab, config), embed, config)
-    answer_ids = vocab.encode(sample.answer)
-    inputs = [BOS_ID] + answer_ids
-    targets = answer_ids + [EOS_ID]
-    h = ad.tanh(ad.matvec(tensors["w_init"], q))
-    nll_terms = []
-    state_sum = None
-    for inp, tgt in zip(inputs, targets):
-        h = gru_step(ad.row(tensors["embed"], inp), h, tensors)
-        logits = ad.add(ad.matvec(tensors["w_out"], ad.concat(h, e)), tensors["b_out"])
-        nll_terms.append(ad.scale(ad.element(ad.log_softmax(logits), tgt), -1.0))
-        state_sum = h if state_sum is None else ad.add(state_sum, h)
-    l_nll = nll_terms[0]
-    for term in nll_terms[1:]:
-        l_nll = ad.add(l_nll, term)
-    l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
-    h_gen = ad.l2_normalize(ad.matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
-    diff = ad.sub(h_gen, e)
-    l_cons = ad.sub(
-        ad.sqrt(ad.add(ad.dot(diff, diff), ad.const(training.CONS_EPS))),
-        ad.const(math.sqrt(training.CONS_EPS)),
-    )
-    return l_nll, l_cons, ad.add(l_nll, ad.scale(l_cons, config.lambda_))
 
 
 class TestBatchedDecoder:
@@ -319,9 +261,9 @@ class TestBatchedDecoder:
         want_grads = {name: np.zeros_like(arr) for name, arr in params.items()}
         for sample, got in zip(samples, breakdowns):
             tensors = training._wrap_params(params)
-            l_nll, l_cons, l_joint = per_sample_loss_tape(sample, vocab, tensors, config)
-            assert abs(got.l_nll - l_nll.item()) <= 1e-12
-            assert abs(got.l_cons - l_cons.item()) <= 1e-12
+            l_nll, l_cons, l_joint = ref.per_sample_loss_tape(sample, vocab, tensors, config)
+            assert abs(got.l_nll - float(l_nll.value)) <= 1e-12
+            assert abs(got.l_cons - float(l_cons.value)) <= 1e-12
             ad.backward({"nll": l_nll, "cons": l_cons, "joint": l_joint}[component])
             for name, t in tensors.items():
                 if t.grad is not None:
@@ -419,11 +361,11 @@ class TestGradientChecks:
             name = names[int(rng.integers(len(names)))]
             flat = int(rng.integers(params[name].size))
             index = np.unravel_index(flat, params[name].shape)
-            numeric = numerical_gradient(loss_fn, params, name, index)
+            numeric = ref.numerical_gradient(loss_fn, params, name, index)
             analytic = grads[name][index]
             # Near-zero gradients sit below finite-difference resolution, so
             # allow a tiny absolute escape alongside the relative bound.
-            ok = relative_error(analytic, numeric) < 1e-4 or abs(analytic - numeric) < 1e-9
+            ok = ref.relative_error(analytic, numeric) < 1e-4 or abs(analytic - numeric) < 1e-9
             assert ok, (name, index, analytic, numeric)
 
 
