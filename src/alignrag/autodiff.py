@@ -1,15 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Holds exactly the ops the training graph runs: embedding lookups,
-affine maps, softmax/log-softmax, segment means and row norms. A coarse
-op elsewhere, such as decoder.decoder_losses, is a Tensor whose grad_fns
-the op derives by hand. Shapes are scalars, vectors, and matrices; the
-only broadcasting allowed is scalar-with-array. This module imports no
-other alignrag module.
+Holds exactly the ops the training graph runs: const and param leaves,
+add, scale, gather_rows, row, segment_mean, sum_all and
+l2_normalize_rows, plus backward. A coarse op elsewhere, such as
+decoder.decoder_losses or training's evidence weighting and aggregation,
+is a Tensor whose grad_fns the op derives by hand. Shapes are scalars,
+vectors, and matrices; the only broadcasting allowed is scalar-with-array.
+This module imports no other alignrag module.
 """
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,10 +32,6 @@ def param(value) -> Tensor:
     return Tensor(value, requires_grad=True)
 
 
-def detach(t: Tensor) -> Tensor:
-    return Tensor(t.value)
-
-
 def _unbroadcast(grad, shape):
     """Reduce a gradient back to `shape` after scalar broadcasting."""
     if grad.shape == tuple(shape):
@@ -57,54 +52,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(
-        a.value - b.value,
-        parents=(a, b),
-        grad_fns=(
-            lambda g: _unbroadcast(g, a.value.shape),
-            lambda g: _unbroadcast(-g, b.value.shape),
-        ),
-    )
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.value * c, parents=(a,), grad_fns=(lambda g: g * c,))
-
-
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """(r, c) matrix times (c,) vector."""
-    return Tensor(
-        m.value @ v.value,
-        parents=(m, v),
-        grad_fns=(lambda g: np.outer(g, v.value), lambda g: m.value.T @ g),
-    )
-
-
-def vecmat(v: Tensor, m: Tensor) -> Tensor:
-    """(r,) vector times (r, c) matrix."""
-    return Tensor(
-        v.value @ m.value,
-        parents=(v, m),
-        grad_fns=(lambda g: m.value @ g, lambda g: np.outer(v.value, g)),
-    )
-
-
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """(B, n) matrix whose row i is the (n,) vector rows[i]."""
-    return Tensor(
-        np.stack([r.value for r in rows]),
-        parents=tuple(rows),
-        grad_fns=tuple((lambda g, i=i: g[i]) for i in range(len(rows))),
-    )
 
 
 def gather_rows(m: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.intp)
 
     def grad_m(g):
-        out = np.zeros_like(m.value)
-        np.add.at(out, ids, g)
+        # Scatter-add into the flattened table: np.add.at is several times
+        # faster on 1-D input, and adds the same terms in the same order.
+        out = np.zeros(m.value.shape)
+        cols = out.shape[1]
+        flat = (ids.reshape(-1, 1) * cols + np.arange(cols)).reshape(-1)
+        np.add.at(out.reshape(-1), flat, g.reshape(-1))
         return out
 
     return Tensor(m.value[ids], parents=(m,), grad_fns=(grad_m,))
@@ -137,15 +98,6 @@ def sum_all(t: Tensor) -> Tensor:
     return Tensor(np.sum(t.value), parents=(t,), grad_fns=(lambda g: g * np.ones_like(t.value),))
 
 
-def exp(t: Tensor) -> Tensor:
-    out = np.exp(t.value)
-    return Tensor(out, parents=(t,), grad_fns=(lambda g: g * out,))
-
-
-def log(t: Tensor) -> Tensor:
-    return Tensor(np.log(t.value), parents=(t,), grad_fns=(lambda g: g / t.value,))
-
-
 def l2_normalize_rows(m: Tensor) -> Tensor:
     """Each row of a (k, n) matrix divided by its Euclidean norm."""
     norms = np.sqrt(np.einsum("ij,ij->i", m.value, m.value))[:, None]
@@ -155,18 +107,6 @@ def l2_normalize_rows(m: Tensor) -> Tensor:
         parents=(m,),
         grad_fns=(lambda g: (g - out * np.sum(g * out, axis=1, keepdims=True)) / norms,),
     )
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    # Max-subtraction for stability; the shift is a constant and cancels
-    # analytically, so treating it as non-differentiable is exact.
-    shifted = sub(logits, const(np.max(logits.value)))
-    lse = log(sum_all(exp(shifted)))
-    return sub(shifted, lse)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    return exp(log_softmax(logits))
 
 
 def backward(loss: Tensor) -> None:

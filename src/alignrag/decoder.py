@@ -63,7 +63,6 @@ def init_decoder_params(
 @dataclass
 class GenerationTrace:
     tokens: list[int]
-    step_states: list[np.ndarray]
     h_gen: np.ndarray
 
 
@@ -158,7 +157,7 @@ def _decode_greedy(q_vec, evidence, params, gates, max_len):
         raise DegenerateNorm("pooled generation representation has near-zero norm")
     if not np.all(np.isfinite(h_gen)):
         raise ValueError("generation representation values must be finite")
-    return GenerationTrace(tokens=tokens, step_states=states, h_gen=h_gen[0])
+    return GenerationTrace(tokens=tokens, h_gen=h_gen[0])
 
 
 def decoder_losses(

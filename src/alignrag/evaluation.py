@@ -66,7 +66,7 @@ def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
     h = hashlib.sha256()
     for name in sorted(ckpt.params):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(ckpt.params[name]).tobytes())
+        h.update(np.ascontiguousarray(ckpt.params[name]))
     return h.hexdigest()[:16]
 
 

@@ -44,13 +44,14 @@ class EvidenceIndex:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             raise EmptyCorpus("index needs at least one entry")
-        order = np.argsort(ids, kind="stable")
-        self.ids = ids[order]
-        repeated = self.ids[1:][self.ids[1:] == self.ids[:-1]]
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if (ids[1:] < ids[:-1]).any():  # ascending ids need no reordering copies
+            order = np.argsort(ids, kind="stable")
+            ids, texts, matrix = ids[order], [texts[i] for i in order], matrix[order]
+        repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
-        self.texts = [texts[i] for i in order]
-        self.matrix = np.asarray(matrix, dtype=np.float64)[order]
+        self.ids, self.texts, self.matrix = ids, list(texts), matrix
 
     @property
     def dim(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,8 +32,8 @@ def write_container(path, kind: str, header: dict, arrays: dict[str, np.ndarray]
     manifest = []
     offset = 0
     names = sorted(arrays)
-    for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+    payloads = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
+    for name, arr in zip(names, payloads):
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
     full_header = dict(header)
@@ -43,8 +44,8 @@ def write_container(path, kind: str, header: dict, arrays: dict[str, np.ndarray]
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype=np.float64).tobytes())
+        for arr in payloads:
+            fh.write(arr)  # from the array's own buffer, with no copy
 
 
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -70,7 +71,9 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("kind") != kind:
             raise CheckpointError(f"{path}: expected kind {kind!r}, got {header.get('kind')!r}")
-        payload = fh.read()
+        # One read into a writable buffer; the arrays are views of it.
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        size = fh.readinto(payload)
     try:
         manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
     except (KeyError, TypeError) as err:
@@ -81,10 +84,10 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         if not all(type(d) is int and d >= 0 for d in shape) or start != end:
             raise CheckpointError(f"{path}: array {name!r} has shape {shape} at offset {start}")
         end += 8 * math.prod(shape)
-    if end != len(payload):
-        raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {len(payload)}")
+    if end != size:
+        raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {size}")
     arrays = {}
     for name, shape, start in manifest:
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=start)
-        arrays[name] = arr.reshape(shape).copy()
+        arrays[name] = arr.reshape(shape)
     return header, arrays

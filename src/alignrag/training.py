@@ -266,38 +266,82 @@ def _prepare_samples(
     return preps
 
 
-def _evidence_tape(prep: _PreparedSample, embed: ad.Tensor, config: TrainConfig):
-    """Encode question and chunks as one batch, then select, weight and aggregate."""
-    return _select_evidence(prep, encode_rows(embed, prep.ids, prep.lengths), config)
+def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, config: TrainConfig):
+    """Select a minibatch's evidence as inference does, then weight and aggregate it.
 
-
-def _select_evidence(prep: _PreparedSample, rows: ad.Tensor, config: TrainConfig):
-    """Select evidence as inference does from rows (question first), then weight and
-    aggregate it on the tape. Returns (q, e)."""
-    q = ad.row(rows, 0)
-    n = len(prep.texts)
-    index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
-    k = n if config.oracle_evidence else config.top_k
-    picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
-    if not picked:
-        raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
+    rows holds each sample's question row then its chunk rows, sample after
+    sample. Each sample ranks its own chunk rows with top_k and the
+    threshold. Returns q (B, D) and e (B, D).
+    """
+    starts, picked, counts = [], [], []
+    start = 0
+    for prep in preps:
+        n = len(prep.texts)
+        index = EvidenceIndex(range(n), prep.texts, rows.value[start + 1 : start + 1 + n])
+        k = n if config.oracle_evidence else config.top_k
+        kept = filter_by_threshold(top_k(rows.value[start], index, k), config.tau)
+        if not kept:
+            raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
+        starts.append(start)
+        picked += [start + 1 + r.chunk_id for r in kept]
+        counts.append(len(kept))
+        start += 1 + n
+    q = ad.gather_rows(rows, starts)
     d = ad.gather_rows(rows, picked)
-    alphas = ad.softmax(ad.scale(ad.matvec(d, q), config.beta))
-    if not config.differentiable_weights:
-        alphas = ad.detach(alphas)
-    return q, ad.vecmat(alphas, d)
+    return q, _aggregate(q, d, counts, config.beta, config.differentiable_weights)
+
+
+def _aggregate(q: ad.Tensor, d: ad.Tensor, counts, beta: float, differentiable: bool):
+    """e_b = sum_j alpha_j d_j over sample b's picked rows, as one tape node.
+
+    d (P, D) holds every sample's picked rows, sample after sample, counts[b]
+    of them for sample b; alpha = softmax(beta d_j . q_b) within each
+    sample's rows, with the max subtracted. Without differentiable weights
+    alpha is a constant and q is not a parent. The backward is derived by hand.
+    """
+    counts = np.asarray(counts)
+    seg = np.repeat(np.arange(len(counts)), counts)  # the sample of each picked row
+    starts = np.cumsum(counts) - counts
+    q_rows, d_val = q.value[seg], d.value
+    scores = np.einsum("ij,ij->i", d_val, q_rows) * beta
+    shifted = scores - np.maximum.reduceat(scores, starts)[seg]
+    lse = np.log(np.add.reduceat(np.exp(shifted), starts))
+    alpha = np.exp(shifted - lse[seg])
+
+    def d_scores(g):
+        # beta * dL/dz of the softmax within each sample's rows.
+        d_alpha = np.einsum("ij,ij->i", g[seg], d_val)
+        return beta * alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[seg])
+
+    def grad_d(g):
+        out = alpha[:, None] * g[seg]
+        if differentiable:
+            out += d_scores(g)[:, None] * q_rows
+        return out
+
+    e = np.add.reduceat(alpha[:, None] * d_val, starts, axis=0)
+    if not differentiable:
+        return ad.Tensor(e, parents=(d,), grad_fns=(grad_d,))
+
+    def grad_q(g):
+        return np.add.reduceat(d_scores(g)[:, None] * d_val, starts, axis=0)
+
+    return ad.Tensor(e, parents=(q, d), grad_fns=(grad_q, grad_d))
 
 
 def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config):
     """Build the joint-loss graph of a minibatch: the batch means of l_nll and
-    l_cons, l_joint, and the (2, B) per-sample [l_nll; l_cons] they average."""
-    pairs = []
-    for prep in preps:
-        if prep.frozen is not None:
-            pairs.append(tuple(ad.const(v) for v in prep.frozen))
-        else:
-            pairs.append(_evidence_tape(prep, tensors["enc_embed"], config))
-    q, e = (ad.stack(rows) for rows in zip(*pairs))
+    l_cons, l_joint, and the (2, B) per-sample [l_nll; l_cons] they average.
+
+    Unless every sample's evidence is fixed, the minibatch's questions and
+    chunks are encoded as one batch, sample after sample.
+    """
+    if all(p.frozen is not None for p in preps):
+        q, e = (ad.const(np.stack(v)) for v in zip(*(p.frozen for p in preps)))
+    else:
+        ids = np.concatenate([p.ids for p in preps])
+        rows = encode_rows(tensors["enc_embed"], ids, [n for p in preps for n in p.lengths])
+        q, e = _evidence(preps, rows, config)
     per_sample = decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
     l_nll, l_cons = (
         ad.scale(ad.sum_all(ad.row(per_sample, i)), 1.0 / len(preps)) for i in (0, 1)
@@ -427,13 +471,14 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
 
     train() never passes a frozen enc_embed to Adam, so q and e are constants
     of each sample: each distinct text is encoded once, and the selection the
-    joint path runs records them from those rows.
+    joint path runs records them from those rows, for every sample at once.
     """
     if not config.freeze_encoder:
         return _prepare_samples(dataset, vocab, config)
     prepared = _prepare_samples(dataset, vocab, config, table=params["enc_embed"])
-    for prep in prepared:
-        prep.frozen = tuple(t.value for t in _select_evidence(prep, ad.const(prep.rows), config))
+    q, e = _evidence(prepared, ad.const(np.concatenate([p.rows for p in prepared])), config)
+    for prep, q_row, e_row in zip(prepared, q.value, e.value):
+        prep.frozen = (q_row, e_row)
     return prepared
 
 

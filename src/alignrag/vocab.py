@@ -57,13 +57,16 @@ class Vocabulary:
 
     def token_id(self, token: str) -> int:
         tid = self._token_to_id.get(token)
-        if tid is not None:
-            return tid
-        bucket = _stable_hash(token) % self.hash_buckets
-        return N_RESERVED + len(self.tokens) + bucket
+        return self._bucket_id(token) if tid is None else tid
+
+    def _bucket_id(self, token: str) -> int:
+        return N_RESERVED + len(self.tokens) + _stable_hash(token) % self.hash_buckets
 
     def encode(self, text: str) -> list[int]:
-        return [self.token_id(t) for t in tokenize(text)]
+        # One lookup per token, hashing only on a miss; content ids start at
+        # N_RESERVED, so a hit is never falsy.
+        lookup = self._token_to_id.get
+        return [lookup(t) or self._bucket_id(t) for t in tokenize(text)]
 
     def id_to_token(self, tid: int) -> str:
         if not 0 <= tid < self.size:

@@ -3,7 +3,8 @@
 Nothing in alignrag calls these. They are the independent paths the
 tests compare the library against: tape ops that only reference graphs
 use, central finite differences, the per-sample tape graphs the batched
-training path replaced, and the per-vector numpy decoder that greedy
+training path replaced (the evidence of one sample at a time, and the
+decoder one op per step), and the per-vector numpy decoder that greedy
 decoding replaced (one full softmax per step).
 """
 import math
@@ -12,8 +13,10 @@ import numpy as np
 
 from alignrag import autodiff as ad
 from alignrag import training
-from alignrag.aggregation import softmax
+from alignrag import aggregation
 from alignrag.decoder import fused_gates, gru_cell
+from alignrag.encoder import encode_rows
+from alignrag.errors import EmptyScores
 from alignrag.index import EvidenceIndex, filter_by_threshold, top_k
 from alignrag.training import sample_chunks
 from alignrag.vocab import BOS_ID, EOS_ID
@@ -21,6 +24,21 @@ from alignrag.vocab import BOS_ID, EOS_ID
 # ---------------------------------------------------------------------------
 # Tape ops that only the reference graphs use.
 # ---------------------------------------------------------------------------
+
+
+def detach(t):
+    return ad.Tensor(t.value)
+
+
+def sub(a, b):
+    return ad.Tensor(
+        a.value - b.value,
+        parents=(a, b),
+        grad_fns=(
+            lambda g: ad._unbroadcast(g, a.value.shape),
+            lambda g: ad._unbroadcast(-g, b.value.shape),
+        ),
+    )
 
 
 def mul(a, b):
@@ -51,6 +69,33 @@ def concat(a, b):
     )
 
 
+def matvec(m, v):
+    """(r, c) matrix times (c,) vector."""
+    return ad.Tensor(
+        m.value @ v.value,
+        parents=(m, v),
+        grad_fns=(lambda g: np.outer(g, v.value), lambda g: m.value.T @ g),
+    )
+
+
+def vecmat(v, m):
+    """(r,) vector times (r, c) matrix."""
+    return ad.Tensor(
+        v.value @ m.value,
+        parents=(v, m),
+        grad_fns=(lambda g: m.value @ g, lambda g: np.outer(v.value, g)),
+    )
+
+
+def stack(rows):
+    """(B, n) matrix whose row i is the (n,) vector rows[i]."""
+    return ad.Tensor(
+        np.stack([r.value for r in rows]),
+        parents=tuple(rows),
+        grad_fns=tuple((lambda g, i=i: g[i]) for i in range(len(rows))),
+    )
+
+
 def element(v, i: int):
     def grad_v(g):
         out = np.zeros_like(v.value)
@@ -70,6 +115,15 @@ def sigmoid(t):
     return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * out * (1.0 - out),))
 
 
+def exp(t):
+    out = np.exp(t.value)
+    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * out,))
+
+
+def log(t):
+    return ad.Tensor(np.log(t.value), parents=(t,), grad_fns=(lambda g: g / t.value,))
+
+
 def sqrt(t):
     out = np.sqrt(t.value)
     return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g / (2.0 * out),))
@@ -83,6 +137,18 @@ def reciprocal(t):
 def l2_normalize(v):
     norm = sqrt(dot(v, v))
     return mul(v, reciprocal(norm))
+
+
+def log_softmax(logits):
+    # Max-subtraction for stability; the shift is a constant and cancels
+    # analytically, so treating it as non-differentiable is exact.
+    shifted = sub(logits, ad.const(np.max(logits.value)))
+    lse = log(ad.sum_all(exp(shifted)))
+    return sub(shifted, lse)
+
+
+def softmax(logits):
+    return exp(log_softmax(logits))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +185,8 @@ def step(prev_token, h_prev, e, params):
     w_x, b_x, u_zr = fused_gates(params)
     x_proj = params["embed"][prev_token][None, :] @ w_x.T
     h, *_ = gru_cell(x_proj, h_prev[None, :], b_x, u_zr, params["u_h"])
-    return softmax(params["w_out"] @ np.concatenate([h[0], e]) + params["b_out"]), h[0]
+    logits = params["w_out"] @ np.concatenate([h[0], e]) + params["b_out"]
+    return aggregation.softmax(logits), h[0]
 
 
 def pooled_generation_repr(states, params):
@@ -147,13 +214,34 @@ def decode_greedy(q, e, params, max_len):
 # ---------------------------------------------------------------------------
 
 
+def evidence_tape(prep, embed, config):
+    """Reference for the batched evidence of a minibatch: one sample's graph.
+
+    Encodes the prepared sample's question and chunks as one batch, then
+    selects, weights and aggregates its evidence op by op. Returns (q, e).
+    """
+    rows = encode_rows(embed, prep.ids, prep.lengths)
+    q = ad.row(rows, 0)
+    n = len(prep.texts)
+    index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
+    k = n if config.oracle_evidence else config.top_k
+    picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
+    if not picked:
+        raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
+    d = ad.gather_rows(rows, picked)
+    alphas = softmax(ad.scale(matvec(d, q), config.beta))
+    if not config.differentiable_weights:
+        alphas = detach(alphas)
+    return q, vecmat(alphas, d)
+
+
 def per_chunk_evidence(sample, vocab, embed, config):
-    """Reference for the batched _evidence_tape: one tape subgraph per chunk, summed one by one."""
+    """Reference for the batched encode: one tape subgraph per chunk, summed one by one."""
 
     def encode(text):
         ids = vocab.encode(text)
         rows = ad.gather_rows(embed, ids)
-        pooled = ad.scale(ad.vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
+        pooled = ad.scale(vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
         return l2_normalize(pooled)
 
     q = encode(sample.question)
@@ -165,13 +253,13 @@ def per_chunk_evidence(sample, vocab, embed, config):
     picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     scores = [dot(q, encoded[i]) for i in picked]
     m = max(float(s.value) for s in scores)
-    weights = [ad.exp(ad.scale(ad.sub(s, ad.const(m)), config.beta)) for s in scores]
+    weights = [exp(ad.scale(sub(s, ad.const(m)), config.beta)) for s in scores]
     total = weights[0]
     for w in weights[1:]:
         total = ad.add(total, w)
     alphas = [mul(w, reciprocal(total)) for w in weights]
     if not config.differentiable_weights:
-        alphas = [ad.detach(a) for a in alphas]
+        alphas = [detach(a) for a in alphas]
     e = mul(alphas[0], encoded[picked[0]])
     for a, i in zip(alphas[1:], picked[1:]):
         e = ad.add(e, mul(a, encoded[i]))
@@ -182,36 +270,34 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
     """Reference for the batched decoder op: the per-sample, per-op loss graph it replaced."""
 
     def gru_step(x, h, t):
-        z = sigmoid(ad.add(ad.add(ad.matvec(t["w_z"], x), ad.matvec(t["u_z"], h)), t["b_z"]))
-        r = sigmoid(ad.add(ad.add(ad.matvec(t["w_r"], x), ad.matvec(t["u_r"], h)), t["b_r"]))
-        cand = tanh(
-            ad.add(ad.add(ad.matvec(t["w_h"], x), ad.matvec(t["u_h"], mul(r, h))), t["b_h"])
-        )
+        z = sigmoid(ad.add(ad.add(matvec(t["w_z"], x), matvec(t["u_z"], h)), t["b_z"]))
+        r = sigmoid(ad.add(ad.add(matvec(t["w_r"], x), matvec(t["u_r"], h)), t["b_r"]))
+        cand = tanh(ad.add(ad.add(matvec(t["w_h"], x), matvec(t["u_h"], mul(r, h))), t["b_h"]))
         one = ad.const(np.ones_like(h.value))
-        return ad.add(mul(ad.sub(one, z), h), mul(z, cand))
+        return ad.add(mul(sub(one, z), h), mul(z, cand))
 
     embed = tensors["enc_embed"]
     if config.freeze_encoder:
-        embed = ad.detach(embed)
-    q, e = training._evidence_tape(training._prepare(sample, vocab, config), embed, config)
+        embed = detach(embed)
+    q, e = evidence_tape(training._prepare(sample, vocab, config), embed, config)
     answer_ids = vocab.encode(sample.answer)
     inputs = [BOS_ID] + answer_ids
     targets = answer_ids + [EOS_ID]
-    h = tanh(ad.matvec(tensors["w_init"], q))
+    h = tanh(matvec(tensors["w_init"], q))
     nll_terms = []
     state_sum = None
     for inp, tgt in zip(inputs, targets):
         h = gru_step(ad.row(tensors["embed"], inp), h, tensors)
-        logits = ad.add(ad.matvec(tensors["w_out"], concat(h, e)), tensors["b_out"])
-        nll_terms.append(ad.scale(element(ad.log_softmax(logits), tgt), -1.0))
+        logits = ad.add(matvec(tensors["w_out"], concat(h, e)), tensors["b_out"])
+        nll_terms.append(ad.scale(element(log_softmax(logits), tgt), -1.0))
         state_sum = h if state_sum is None else ad.add(state_sum, h)
     l_nll = nll_terms[0]
     for term in nll_terms[1:]:
         l_nll = ad.add(l_nll, term)
     l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
-    h_gen = l2_normalize(ad.matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
-    diff = ad.sub(h_gen, e)
-    l_cons = ad.sub(
+    h_gen = l2_normalize(matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
+    diff = sub(h_gen, e)
+    l_cons = sub(
         sqrt(ad.add(dot(diff, diff), ad.const(training.CONS_EPS))),
         ad.const(math.sqrt(training.CONS_EPS)),
     )

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from alignrag import autodiff as ad
+from alignrag import training
+from alignrag.aggregation import softmax
 from alignrag.decoder import decoder_losses, decoder_shapes
 import reference as ref
 
@@ -54,7 +56,7 @@ class TestElementwise:
         check_grads(lambda t: ad.sum_all(ref.mul(ad.add(t["a"], t["b"]), t["b"])), vecs)
 
     def test_sub(self, vecs):
-        check_grads(lambda t: ad.sum_all(ref.mul(ad.sub(t["a"], t["b"]), t["a"])), vecs)
+        check_grads(lambda t: ad.sum_all(ref.mul(ref.sub(t["a"], t["b"]), t["a"])), vecs)
 
     def test_mul(self, vecs):
         check_grads(lambda t: ad.sum_all(ref.mul(t["a"], t["b"])), vecs)
@@ -73,11 +75,11 @@ class TestElementwise:
         arrays = {"a": rng.normal(size=5)}
         check_grads(lambda t: ad.sum_all(ref.tanh(t["a"])), arrays)
         check_grads(lambda t: ad.sum_all(ref.sigmoid(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ad.exp(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.exp(t["a"])), arrays)
 
     def test_log_sqrt_reciprocal(self, rng):
         arrays = {"a": rng.uniform(0.5, 2.0, size=5)}
-        check_grads(lambda t: ad.sum_all(ad.log(t["a"])), arrays)
+        check_grads(lambda t: ad.sum_all(ref.log(t["a"])), arrays)
         check_grads(lambda t: ad.sum_all(ref.sqrt(t["a"])), arrays)
         check_grads(lambda t: ad.sum_all(ref.reciprocal(t["a"])), arrays)
 
@@ -85,7 +87,7 @@ class TestElementwise:
 class TestLinear:
     def test_matvec(self, rng):
         arrays = {"m": rng.normal(size=(3, 4)), "v": rng.normal(size=4)}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ad.matvec(t["m"], t["v"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ref.matvec(t["m"], t["v"]))), arrays)
 
     def test_dot(self, vecs):
         check_grads(lambda t: ref.dot(t["a"], t["b"]), vecs)
@@ -98,16 +100,22 @@ class TestLinear:
         arrays = {"m": rng.normal(size=(4, 3))}
         ids = [1, 3, 1, 1]  # repeated rows must accumulate
         check_grads(lambda t: ad.sum_all(ref.tanh(ad.gather_rows(t["m"], ids))), arrays)
+        # The same sums, in the same order, as a row-wise scatter-add.
+        m, g = ad.param(arrays["m"]), rng.normal(size=(len(ids), 3))
+        ad.backward(ad.sum_all(ref.mul(ad.gather_rows(m, ids), ad.const(g))))
+        want = np.zeros_like(arrays["m"])
+        np.add.at(want, ids, g)
+        assert np.array_equal(m.grad, want)
 
     def test_row_and_element(self, rng):
         arrays = {"m": rng.normal(size=(3, 4))}
-        check_grads(lambda t: ad.sum_all(ad.exp(ad.row(t["m"], 2))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.exp(ad.row(t["m"], 2))), arrays)
         arrays = {"v": rng.normal(size=5)}
-        check_grads(lambda t: ad.exp(ref.element(t["v"], 3)), arrays)
+        check_grads(lambda t: ref.exp(ref.element(t["v"], 3)), arrays)
 
     def test_vecmat(self, rng):
         arrays = {"v": rng.normal(size=3), "m": rng.normal(size=(3, 4))}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ad.vecmat(t["v"], t["m"]))), arrays)
+        check_grads(lambda t: ad.sum_all(ref.tanh(ref.vecmat(t["v"], t["m"]))), arrays)
 
     def test_segment_mean_single_segment_and_sum_all(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
@@ -136,7 +144,7 @@ class TestLinear:
     def test_stack(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=3), "w": rng.normal(size=(3, 3))}
         check_grads(
-            lambda t: ad.sum_all(ref.mul(ref.tanh(ad.stack([t["a"], t["b"], t["a"]])), t["w"])),
+            lambda t: ad.sum_all(ref.mul(ref.tanh(ref.stack([t["a"], t["b"], t["a"]])), t["w"])),
             arrays,
         )
 
@@ -178,6 +186,53 @@ class TestDecoderLosses:
             np.testing.assert_allclose(batched[:, b], alone, rtol=0, atol=1e-15)
 
 
+class TestAggregateEvidence:
+    """training's evidence op: each sample's softmax weights and aggregate in one node."""
+
+    COUNTS = [1, 2, 5]  # samples with 1, 2 and 5 picked rows
+    BETA = 1.7
+
+    def arrays(self, rng):
+        # Unit-scale scores, so no sample's weights saturate.
+        q = rng.normal(scale=0.5, size=(len(self.COUNTS), 3))
+        d = rng.normal(scale=0.5, size=(sum(self.COUNTS), 3))
+        d[3] = d[4] = q[2]  # two of the third sample's rows tie at its best score
+        return {"q": q, "d": d}
+
+    def test_finite_differences_with_differentiable_weights(self, rng):
+        arrays = self.arrays(rng)
+        w = ad.const(rng.normal(size=arrays["q"].shape))
+        check_grads(
+            lambda t: ad.sum_all(
+                ref.mul(training._aggregate(t["q"], t["d"], self.COUNTS, self.BETA, True), w)
+            ),
+            arrays,
+        )
+
+    def test_detached_weights_are_constants(self, rng):
+        arrays = self.arrays(rng)
+        w = rng.normal(size=arrays["q"].shape)
+        q, d = ad.param(arrays["q"]), ad.param(arrays["d"])
+        e = training._aggregate(q, d, self.COUNTS, self.BETA, False)
+        assert all(parent is not q for parent in e.parents)
+        ad.backward(ad.sum_all(ref.mul(e, ad.const(w))))
+        assert q.grad is None
+        # The weights at the inputs' values, from the numpy softmax of each sample's scores.
+        weights = np.zeros((len(self.COUNTS), len(arrays["d"])))
+        for b, (start, n) in enumerate(zip(np.cumsum(self.COUNTS) - self.COUNTS, self.COUNTS)):
+            rows = arrays["d"][start : start + n]
+            weights[b, start : start + n] = softmax(self.BETA * (rows @ arrays["q"][b]))
+        np.testing.assert_allclose(e.value, weights @ arrays["d"], rtol=0, atol=1e-15)
+        # d's gradient is the finite difference of the aggregate with the weights held.
+        for idx in np.ndindex(*arrays["d"].shape):
+            bump = np.zeros_like(arrays["d"])
+            bump[idx] = H
+            up, down = (np.sum(w * (weights @ (arrays["d"] + s))) for s in (bump, -bump))
+            numeric = (up - down) / (2 * H)
+            denom = max(1e-8, abs(d.grad[idx]) + abs(numeric))
+            assert abs(d.grad[idx] - numeric) / denom < TOL, idx
+
+
 class TestComposite:
     def test_l2_normalize(self, rng):
         arrays = {"v": rng.normal(size=5), "w": rng.normal(size=5)}
@@ -192,15 +247,15 @@ class TestComposite:
 
     def test_log_softmax(self, rng):
         arrays = {"v": rng.normal(size=6)}
-        check_grads(lambda t: ref.element(ad.log_softmax(t["v"]), 2), arrays)
+        check_grads(lambda t: ref.element(ref.log_softmax(t["v"]), 2), arrays)
 
     def test_softmax(self, rng):
         arrays = {"v": rng.normal(size=6)}
-        check_grads(lambda t: ref.element(ad.softmax(t["v"]), 4), arrays)
+        check_grads(lambda t: ref.element(ref.softmax(t["v"]), 4), arrays)
 
     def test_softmax_values(self, rng):
         v = rng.normal(size=7)
-        got = ad.softmax(ad.const(v)).value
+        got = ref.softmax(ad.const(v)).value
         expected = np.exp(v - v.max())
         expected /= expected.sum()
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -209,7 +264,7 @@ class TestComposite:
     def test_diamond_graph_accumulates(self, rng):
         # a feeds the loss along two paths; grads must sum.
         arrays = {"a": rng.normal(size=4)}
-        check_grads(lambda t: ref.dot(ref.tanh(t["a"]), ad.exp(t["a"])), arrays)
+        check_grads(lambda t: ref.dot(ref.tanh(t["a"]), ref.exp(t["a"])), arrays)
 
 
 class TestMechanics:
@@ -220,7 +275,7 @@ class TestMechanics:
 
     def test_detach_stops_gradient(self, rng):
         a = ad.param(rng.normal(size=3))
-        loss = ref.dot(ad.detach(a), a)
+        loss = ref.dot(ref.detach(a), a)
         ad.backward(loss)
         # Gradient flows only through the non-detached branch.
         np.testing.assert_allclose(a.grad, a.value, atol=1e-12)

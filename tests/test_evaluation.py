@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestEvaluate:
         mutated = dataclasses.replace(ckpt, params={**ckpt.params})
         mutated.params["b_out"] = ckpt.params["b_out"] + 1.0
         assert checkpoint_fingerprint(mutated) != fp
+
+    def test_fingerprint_hashes_the_parameter_bytes(self, trained):
+        _, ckpt = trained
+        h = hashlib.sha256()
+        for name in sorted(ckpt.params):
+            h.update(name.encode())
+            h.update(ckpt.params[name].tobytes())
+        assert checkpoint_fingerprint(ckpt) == h.hexdigest()[:16]
 
     def test_retrieval_failure_path(self, trained):
         samples, ckpt = trained

@@ -47,6 +47,16 @@ class TestBuild:
         idx = build_index(list(reversed(CORPUS)), tiny_vocab, tiny_encoder)
         assert idx.ids.tolist() == [0, 1, 2, 3, 4]
 
+    def test_ascending_ids_keep_their_rows_in_place(self, rng):
+        rows = rng.normal(size=(4, 3))
+        idx = EvidenceIndex([2, 5, 7, 9], ["a", "b", "c", "d"], rows)
+        assert np.shares_memory(idx.matrix, rows)
+        shuffled = EvidenceIndex([5, 2, 9, 7], ["b", "a", "d", "c"], rows[[1, 0, 3, 2]])
+        assert shuffled.ids.tolist() == idx.ids.tolist() and shuffled.texts == idx.texts
+        np.testing.assert_array_equal(shuffled.matrix, rows)
+        with pytest.raises(DuplicateId, match="duplicate chunk id 5"):
+            EvidenceIndex([2, 5, 5], ["a", "b", "c"], rows[:3])
+
     def test_duplicate_id_rejected(self, tiny_vocab, tiny_encoder):
         with pytest.raises(DuplicateId):
             build_index([(1, "alpha"), (1, "bravo")], tiny_vocab, tiny_encoder)
@@ -253,6 +263,12 @@ class TestPersistence:
         assert [r.chunk_id for r in top_k(q, loaded, 3)] == [
             r.chunk_id for r in top_k(q, index, 3)
         ]
+
+    def test_loaded_matrix_is_a_contiguous_aligned_view(self, tmp_path, index, tiny_vocab, tiny_encoder):
+        path = tmp_path / "idx.bin"
+        save_index(path, index, tiny_vocab, tiny_encoder)
+        loaded, _, _ = load_index(path)
+        assert loaded.matrix.flags.c_contiguous and loaded.matrix.flags.aligned
 
     def test_resave_is_byte_identical(self, tmp_path, index, tiny_vocab, tiny_encoder):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -27,6 +27,23 @@ class TestRoundTrip:
             np.testing.assert_array_equal(loaded[name], arrays[name])
             assert loaded[name].dtype == np.float64
 
+    def test_loaded_arrays_are_writable_aligned_views(self, tmp_path, arrays):
+        path = tmp_path / "c.bin"
+        write_container(path, "index", {}, arrays)
+        _, loaded = read_container(path, "index")
+        for arr in loaded.values():
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+        loaded["beta_matrix"][0, 0] += 1.0  # a write stays in its own array
+        np.testing.assert_array_equal(loaded["alpha_vector"], arrays["alpha_vector"])
+        np.testing.assert_array_equal(loaded["beta_matrix"][1:], arrays["beta_matrix"][1:])
+
+    def test_non_contiguous_input_is_written_in_c_order(self, tmp_path, arrays):
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_container(p1, "index", {}, arrays)
+        fortran = {**arrays, "beta_matrix": np.asfortranarray(arrays["beta_matrix"])}
+        write_container(p2, "index", {}, fortran)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_write_is_deterministic(self, tmp_path, arrays):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         write_container(p1, "index", {"n": 1}, arrays)

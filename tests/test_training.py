@@ -8,8 +8,8 @@ from alignrag import autodiff as ad
 from alignrag import training
 from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
 from alignrag.decoder import decode_greedy
-from alignrag.encoder import encode
-from alignrag.errors import DimMismatch, EmptyInput, InvalidTokenId, LengthMismatch
+from alignrag.encoder import encode, encode_rows
+from alignrag.errors import DimMismatch, EmptyInput, EmptyScores, InvalidTokenId, LengthMismatch
 from alignrag.evaluation import retrieve
 from alignrag.index import build_index
 from alignrag.serialization import write_container
@@ -161,6 +161,30 @@ def multi_hop_setup(overrides):
     return sample, config, vocab, params
 
 
+def batched_evidence(preps, embed, config):
+    """The training tape's (q, e) of a minibatch: one encode, then one selection."""
+    ids = np.concatenate([p.ids for p in preps])
+    rows = encode_rows(embed, ids, [n for p in preps for n in p.lengths])
+    return training._evidence(preps, rows, config)
+
+
+def minibatch_setup(overrides):
+    """multi_hop_setup's sample, one with two of its chunks and one that asks a chunk's text.
+
+    Under tau the samples keep different numbers of chunks.
+    """
+    sample, config, vocab, params = multi_hop_setup(overrides)
+    gold = sample.supporting_facts[0][0]
+    short = dataclasses.replace(
+        sample,
+        id="short",
+        context=[c for c in sample.context if c[0] in (gold, "echo0")],
+        supporting_facts=sample.supporting_facts[:1],
+    )
+    echo = dataclasses.replace(sample, id="echo", question=" ".join(sample.context[2][1]))
+    return [sample, short, echo], config, vocab, params
+
+
 def inference_retrieve(sample, config, vocab, params):
     """The inference path's query vector, kept results and evidence aggregate for a sample."""
     encoder = Checkpoint(config=config, vocab=vocab, params=params).encoder
@@ -194,10 +218,10 @@ class TestTapeInferenceParity:
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
         prep = training._prepare(sample, vocab, config)
-        _, e_tape = training._evidence_tape(prep, tensors["enc_embed"], config)
+        _, e_tape = batched_evidence([prep], tensors["enc_embed"], config)
         assert abs(tape.l_nll - l_nll) <= 1e-12
         assert abs(tape.l_cons - l_cons) <= 1e-12
-        assert np.max(np.abs(e_tape.value - agg.vector.values)) <= 1e-12
+        assert np.max(np.abs(e_tape.value[0] - agg.vector.values)) <= 1e-12
 
     @PARITY_CASES
     def test_greedy_decode_matches_per_vector_reference(self, overrides, n_kept):
@@ -216,7 +240,7 @@ class TestTapeInferenceParity:
         prep = training._prepare(sample, vocab, config)
         got, want = {}, {}
         for out, evidence in (
-            (got, lambda embed: training._evidence_tape(prep, embed, config)),
+            (got, lambda embed: (ad.row(t, 0) for t in batched_evidence([prep], embed, config))),
             (want, lambda embed: ref.per_chunk_evidence(sample, vocab, embed, config)),
         ):
             embed = ad.param(params["enc_embed"])
@@ -225,6 +249,46 @@ class TestTapeInferenceParity:
             out.update(q=q.value, e=e.value, grad=embed.grad)
         for name in ("q", "e", "grad"):
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+    @PARITY_CASES
+    @pytest.mark.parametrize("differentiable", [False, True])
+    def test_minibatch_evidence_matches_per_sample_tapes(self, overrides, n_kept, differentiable):
+        samples, config, vocab, params = minibatch_setup(
+            {**overrides, "differentiable_weights": differentiable}
+        )
+        counts = [len(inference_retrieve(s, config, vocab, params)[1]) for s in samples]
+        assert counts[0] == n_kept
+        if "tau" in overrides and not config.oracle_evidence:
+            assert counts == [2, 2, 1]
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(2, len(samples), config.dim))
+        preps = training._prepare_samples(samples, vocab, config)
+        embed = ad.param(params["enc_embed"])
+        q, e = batched_evidence(preps, embed, config)
+        ad.backward(
+            ad.add(ad.sum_all(ref.mul(q, ad.const(u))), ad.sum_all(ref.mul(e, ad.const(v))))
+        )
+        want_grad = np.zeros_like(params["enc_embed"])
+        for b, prep in enumerate(preps):
+            embed_b = ad.param(params["enc_embed"])
+            q_b, e_b = ref.evidence_tape(prep, embed_b, config)
+            ad.backward(ad.add(ref.dot(q_b, ad.const(u[b])), ref.dot(e_b, ad.const(v[b]))))
+            assert np.max(np.abs(q.value[b] - q_b.value)) <= 1e-12, b
+            assert np.max(np.abs(e.value[b] - e_b.value)) <= 1e-12, b
+            want_grad += embed_b.grad
+        assert np.max(np.abs(embed.grad - want_grad)) <= 1e-12
+
+    def test_empty_selection_names_a_later_sample(self):
+        [sample, _, echo], config, vocab, params = minibatch_setup(
+            {"oracle_evidence": True, "tau": 0.9}
+        )
+        # Asking the text of a distractor, no gold chunk scores 0.9.
+        echo = dataclasses.replace(echo, question=" ".join(sample.context[3][1]))
+        with pytest.raises(EmptyScores, match="sample echo: threshold 0.9"):
+            joint_loss([sample, echo], vocab, params, config)
+        frozen = dataclasses.replace(config, freeze_encoder=True)
+        with pytest.raises(EmptyScores, match="sample echo: threshold 0.9"):
+            training._prepare_dataset([sample, echo], vocab, params, frozen)
 
 
 class TestBatchedDecoder:
