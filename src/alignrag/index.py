@@ -38,7 +38,11 @@ class RetrievalResult:
 
 
 class EvidenceIndex:
-    """Chunk ids in ascending order, their texts, and an (N, dim) row matrix."""
+    """Chunk ids in ascending order, their texts, and an (N, dim) row matrix.
+
+    ``ids`` and ``matrix`` are read-only views; when the ids already ascend
+    they share the caller's arrays rather than copy them.
+    """
 
     def __init__(self, ids, texts: list[str], matrix: np.ndarray):
         ids = np.asarray(ids, dtype=np.int64)
@@ -51,7 +55,8 @@ class EvidenceIndex:
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
-        self.ids, self.texts, self.matrix = ids, list(texts), matrix
+        self.ids, self.texts, self.matrix = ids.view(), list(texts), matrix.view()
+        self.ids.flags.writeable = self.matrix.flags.writeable = False
 
     @property
     def dim(self) -> int:

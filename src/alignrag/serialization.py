@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -71,21 +72,26 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("kind") != kind:
             raise CheckpointError(f"{path}: expected kind {kind!r}, got {header.get('kind')!r}")
+        try:
+            manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
+        except (KeyError, TypeError) as err:
+            raise CheckpointError(f"{path}: malformed array manifest ({err!r})") from err
+        # The arrays must tile the payload exactly, in manifest order.
+        end = 0
+        for name, shape, start in manifest:
+            if not all(type(d) is int and d >= 0 for d in shape) or start != end:
+                raise CheckpointError(f"{path}: array {name!r} has shape {shape} at offset {start}")
+            end += 8 * math.prod(shape)
+        # A regular file too short for the manifest is refused before allocating.
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < end:
+            raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {st.st_size - fh.tell()}")
         # One read into a writable buffer; the arrays are views of it.
-        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        payload = bytearray(end)
         size = fh.readinto(payload)
-    try:
-        manifest = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["arrays"]]
-    except (KeyError, TypeError) as err:
-        raise CheckpointError(f"{path}: malformed array manifest ({err!r})") from err
-    # The arrays must tile the payload exactly, in manifest order.
-    end = 0
-    for name, shape, start in manifest:
-        if not all(type(d) is int and d >= 0 for d in shape) or start != end:
-            raise CheckpointError(f"{path}: array {name!r} has shape {shape} at offset {start}")
-        end += 8 * math.prod(shape)
-    if end != size:
-        raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {size}")
+        if size != end or fh.read(1):
+            have = size if size < end else "more"
+            raise CheckpointError(f"{path}: arrays need {end} payload bytes, file has {have}")
     arrays = {}
     for name, shape, start in manifest:
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=start)

@@ -57,16 +57,13 @@ class Vocabulary:
 
     def token_id(self, token: str) -> int:
         tid = self._token_to_id.get(token)
-        return self._bucket_id(token) if tid is None else tid
-
-    def _bucket_id(self, token: str) -> int:
-        return N_RESERVED + len(self.tokens) + _stable_hash(token) % self.hash_buckets
+        if tid is not None:
+            return tid
+        bucket = _stable_hash(token) % self.hash_buckets
+        return N_RESERVED + len(self.tokens) + bucket
 
     def encode(self, text: str) -> list[int]:
-        # One lookup per token, hashing only on a miss; content ids start at
-        # N_RESERVED, so a hit is never falsy.
-        lookup = self._token_to_id.get
-        return [lookup(t) or self._bucket_id(t) for t in tokenize(text)]
+        return [self.token_id(t) for t in tokenize(text)]
 
     def id_to_token(self, tid: int) -> str:
         if not 0 <= tid < self.size:

@@ -51,6 +51,8 @@ class TestBuild:
         rows = rng.normal(size=(4, 3))
         idx = EvidenceIndex([2, 5, 7, 9], ["a", "b", "c", "d"], rows)
         assert np.shares_memory(idx.matrix, rows)
+        with pytest.raises(ValueError, match="read-only"):
+            idx.matrix[0, 0] = 0.0
         shuffled = EvidenceIndex([5, 2, 9, 7], ["b", "a", "d", "c"], rows[[1, 0, 3, 2]])
         assert shuffled.ids.tolist() == idx.ids.tolist() and shuffled.texts == idx.texts
         np.testing.assert_array_equal(shuffled.matrix, rows)

@@ -1,8 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
 from alignrag.errors import CheckpointError
 from alignrag.serialization import MAGIC, read_container, write_container
+
+
+def pipe_of(data: bytes) -> int:
+    """Read end of a pipe that holds ``data`` and then EOF (data fits the pipe buffer)."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    return r
 
 
 @pytest.fixture
@@ -36,6 +46,14 @@ class TestRoundTrip:
         loaded["beta_matrix"][0, 0] += 1.0  # a write stays in its own array
         np.testing.assert_array_equal(loaded["alpha_vector"], arrays["alpha_vector"])
         np.testing.assert_array_equal(loaded["beta_matrix"][1:], arrays["beta_matrix"][1:])
+
+    def test_reads_from_a_pipe(self, tmp_path, arrays):
+        path = tmp_path / "c.bin"
+        write_container(path, "index", {"n": 7}, arrays)
+        header, loaded = read_container(pipe_of(path.read_bytes()), "index")
+        assert header["n"] == 7
+        for name in arrays:
+            np.testing.assert_array_equal(loaded[name], arrays[name])
 
     def test_non_contiguous_input_is_written_in_c_order(self, tmp_path, arrays):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -83,3 +101,14 @@ class TestRejection:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
             read_container(path, "index")
+
+    @pytest.mark.parametrize("through_pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("cut, extra", [(8, b""), (0, b"\x00" * 8)], ids=["truncated", "trailing"])
+    def test_payload_size_must_match_the_manifest(self, tmp_path, arrays, through_pipe, cut, extra):
+        path = tmp_path / "c.bin"
+        write_container(path, "index", {}, arrays)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - cut] + extra)
+        source = pipe_of(path.read_bytes()) if through_pipe else path
+        with pytest.raises(CheckpointError, match="payload bytes"):
+            read_container(source, "index")
