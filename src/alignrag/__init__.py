@@ -36,10 +36,8 @@ from .training import (
     Checkpoint,
     LossBreakdown,
     TrainConfig,
-    consistency_loss,
     joint_loss,
     load_checkpoint,
-    nll_loss,
     save_checkpoint,
     train,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "aggregate",
     "bleu",
     "build_index",
-    "consistency_loss",
     "decode_greedy",
     "encode",
     "evaluate",
@@ -80,7 +77,6 @@ __all__ = [
     "load_checkpoint",
     "load_hotpotqa",
     "load_index",
-    "nll_loss",
     "normalize_answer",
     "normalize_weights",
     "retrieve",

@@ -3,7 +3,7 @@
 Scores become weights through a softmax with inverse temperature beta:
 beta = 0 gives uniform weights, large beta sharpens onto the best
 aligned evidence. The aggregate e = sum(alpha_i * d_i) is the single
-vector injected into every decoding step.
+vector injected into every decoding step; weigh computes both.
 """
 from __future__ import annotations
 
@@ -29,22 +29,42 @@ class EvidenceAggregate:
     source_weights: EvidenceWeights
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D array, computed with max subtraction."""
-    expd = np.exp(x - x.max())
-    return expd / expd.sum()
+def weigh(scores, counts, beta: float, rows=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Alphas (P,) and, given rows (P, D), aggregates (S, D) of segments of kept scores.
+
+    scores holds each segment's scores in rank order, counts[s] of them for
+    segment s. Within a segment alpha = exp(x - max x) / sum with
+    x = beta * score, and e = alpha_0 d_0 + alpha_1 d_1 + ..., in rank order.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    if not counts.size or counts.min() < 1:
+        raise EmptyScores("no scores to normalize")
+    if not math.isfinite(beta) or beta < 0:
+        raise NonFiniteBeta(f"beta must be finite and >= 0, got {beta}")
+    x = beta * np.asarray(scores, dtype=np.float64)
+    alphas = np.empty_like(x)
+    # One block per segment length: numpy's pairwise sum regroups from 8 terms up.
+    for n in np.unique(counts).tolist():
+        at = (np.cumsum(counts) - counts)[counts == n][:, None] + np.arange(n)
+        expd = np.exp(x[at] - x[at].max(axis=1, keepdims=True))
+        alphas[at] = expd / expd.sum(axis=1, keepdims=True)
+    return alphas, None if rows is None else _weighted_sum(alphas, counts, rows)
+
+
+def _weighted_sum(alphas, counts, rows) -> np.ndarray:
+    """Each segment's alpha-weighted rows, summed first term first, in order."""
+    terms, starts = alphas[:, None] * rows, np.cumsum(counts) - counts
+    e = terms[starts]
+    for j in range(1, counts.max()):
+        e[counts > j] += terms[starts[counts > j] + j]
+    return e
 
 
 def normalize_weights(scores, beta: float) -> EvidenceWeights:
     """Softmax over beta-scaled scores, computed with max subtraction."""
     scores = list(scores)
-    if not scores:
-        raise EmptyScores("no scores to normalize")
-    if not math.isfinite(beta) or beta < 0:
-        raise NonFiniteBeta(f"beta must be finite and >= 0, got {beta}")
-    ids = [cid for cid, _ in scores]
-    alphas = softmax(beta * np.array([s for _, s in scores], dtype=np.float64))
-    return EvidenceWeights(entries=list(zip(ids, alphas.tolist())), beta=beta)
+    alphas, _ = weigh([s for _, s in scores], [len(scores)], beta)
+    return EvidenceWeights(entries=list(zip([cid for cid, _ in scores], alphas.tolist())), beta=beta)
 
 
 def aggregate(weights: EvidenceWeights, index: EvidenceIndex) -> EvidenceAggregate:
@@ -52,10 +72,7 @@ def aggregate(weights: EvidenceWeights, index: EvidenceIndex) -> EvidenceAggrega
 
     Raises UnknownChunkId for an id absent from the index.
     """
-    vec = None
-    for chunk_id, alpha in weights.entries:
-        contrib = alpha * index.matrix[index.row(chunk_id)]
-        vec = contrib if vec is None else vec + contrib
-    return EvidenceAggregate(
-        vector=SemanticVector(vec, normalized=False), source_weights=weights
-    )
+    rows = index.matrix[[index.row(chunk_id) for chunk_id, _ in weights.entries]]
+    alphas = np.array([alpha for _, alpha in weights.entries], dtype=np.float64)
+    vec = _weighted_sum(alphas, np.array([len(alphas)]), rows)[0]
+    return EvidenceAggregate(vector=SemanticVector(vec, normalized=False), source_weights=weights)

@@ -68,7 +68,11 @@ def resolve_config(
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"config file {config_path}: expected a JSON object")
         for section, fields in _SECTIONS.items():
+            if not isinstance(doc.get(section, {}), dict):
+                raise SchemaError(f"config section {section!r} is not a JSON object")
             for key, val in doc.get(section, {}).items():
                 if key not in fields:
                     raise SchemaError(f"config section {section!r}: unknown key {key!r}")

@@ -1,15 +1,15 @@
 """Evidence-constrained autoregressive decoder.
 
-Each stage is written once, on (B, ·) rows: the initial state
-tanh(q W_init^T), the gated recurrent cell gru_cell, the output logits
-[h; e] W_out^T + b_out and the generation representation
+Each stage is written once, on rows of any leading shape (..., ·): the
+initial state tanh(q W_init^T), the gated recurrent cell gru_cell, the
+output logits [h; e] W_out^T + b_out and the generation representation
 unit(mean_state W_pool^T). The evidence aggregate e enters the output
 layer at EVERY step, so the constraint is continuous rather than
-prefix-only. Greedy decoding runs the stages on one row and takes the
-argmax of the logits; decoder_losses, the training tape's decoder op,
-runs them on a teacher-forced minibatch and adds a hand-derived
-backward pass through time. Every function reads its weights by name
-from one flat parameter mapping, a checkpoint's params.
+prefix-only. decode_rows decodes greedily on (B, 1, ·) rows, where each
+matmul is a stack of one-row products, so every row gets the bits of
+decoding it alone. decoder_losses, the training tape's decoder op, runs
+the stages on a teacher-forced (B, ·) minibatch with a hand-derived
+backward pass. Weights are read by name from one flat parameter mapping.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 DEFAULT_HIDDEN = 64
 DEFAULT_MAX_LEN = 32
+# Rows decode_rows decodes together, bounding a step's (rows, V) logits; no bit depends on it.
+_DECODE_BLOCK = 128
 
 # The decoder's tensors, in the order of decoder_losses' parents after q and e.
 _NAMES = (
@@ -81,21 +83,21 @@ def fused_gates(params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarra
 
 
 def initial_state(q: np.ndarray, params: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The decoder's first state tanh(q W_init^T) for query rows q (B, D)."""
+    """The decoder's first state tanh(q W_init^T) for query rows q (..., D)."""
     return np.tanh(q @ params["w_init"].T)
 
 
 def gru_cell(x_proj, h, b_x, u_zr, u_h):
-    """One gated recurrent update of a batch of states h (B, H).
+    """One gated recurrent update of a batch of states h (..., H).
 
-    x_proj is x [W_z; W_r; W_h]^T (B, 3H): it does not depend on h, so a
+    x_proj is x [W_z; W_r; W_h]^T (..., 3H): it does not depend on h, so a
     caller that knows every input computes it for all steps in one matmul.
     Returns the new state and the gates (z, r, candidate) it was made from.
     """
-    n = h.shape[1]
-    zr = _sigmoid(x_proj[:, : 2 * n] + h @ u_zr.T + b_x[: 2 * n])
-    z, r = zr[:, :n], zr[:, n:]
-    cand = np.tanh(x_proj[:, 2 * n :] + (r * h) @ u_h.T + b_x[2 * n :])
+    n = h.shape[-1]
+    zr = _sigmoid(x_proj[..., : 2 * n] + h @ u_zr.T + b_x[: 2 * n])
+    z, r = zr[..., :n], zr[..., n:]
+    cand = np.tanh(x_proj[..., 2 * n :] + (r * h) @ u_h.T + b_x[2 * n :])
     return (1.0 - z) * h + z * cand, z, r, cand
 
 
@@ -104,60 +106,67 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def output_logits(h, e, params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Logits [h; e] W_out^T + b_out of states h (B, H) fused with evidence e (B, D).
+    """Logits [h; e] W_out^T + b_out of states h (..., H) fused with evidence e (..., D).
 
     Returns the logits and the fused rows [h; e].
     """
-    fused = np.concatenate([h, e], axis=1)
+    fused = np.concatenate([h, e], axis=-1)
     return fused @ params["w_out"].T + params["b_out"], fused
 
 
 def generation_repr(mean_state, params: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows of mean_state (B, H) W_pool^T, and the reciprocal of each row's norm."""
+    """Unit rows of mean_state (..., H) W_pool^T, and the reciprocal of each row's norm."""
     pooled = mean_state @ params["w_pool"].T
-    inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", pooled, pooled))
-    return pooled * inv_norm[:, None], inv_norm
+    inv_norm = 1.0 / np.sqrt(np.einsum("...j,...j->...", pooled, pooled))
+    return pooled * inv_norm[..., None], inv_norm
 
 
 def decode_greedy(
-    q_vec,
-    evidence: EvidenceAggregate,
-    params: Mapping[str, np.ndarray],
-    max_len: int = DEFAULT_MAX_LEN,
+    q_vec, evidence: EvidenceAggregate, params: Mapping[str, np.ndarray], max_len=DEFAULT_MAX_LEN
 ) -> GenerationTrace:
-    """Greedy decode from the encoded query; argmax ties resolve to the lowest token id."""
-    return _decode_greedy(q_vec, evidence, params, fused_gates(params), max_len)
+    """Greedy decode from the encoded query: decode_rows on one row."""
+    tokens, h_gen = decode_rows(values_of(q_vec)[None], evidence.vector.values[None], params, max_len)
+    return GenerationTrace(tokens=tokens[0], h_gen=h_gen[0])
 
 
-def _decode_greedy(q_vec, evidence, params, gates, max_len):
+def decode_rows(q, e, params: Mapping[str, np.ndarray], max_len: int = DEFAULT_MAX_LEN):
+    """Greedy decoding of query rows q (B, D) fused with evidence rows e (B, D): each
+    row's token ids (it stops at EOS or max_len; argmax ties go to the lowest id) and
+    (B, D) h_gen rows, from the mean state summed in step order as np.mean does."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    e = evidence.vector.values[None, :]
     hidden, (vocab, width) = params["w_init"].shape[0], params["w_out"].shape
     if hidden + e.shape[1] != width:
         raise DimMismatch(f"the output layer expects H+D={width}, got {hidden}+{e.shape[1]}")
     if vocab <= BOS_ID:
         raise InvalidTokenId(f"token id {BOS_ID} outside vocabulary")
-    w_x, b_x, u_zr = gates
-    h = initial_state(values_of(q_vec)[None, :], params)
-    tokens: list[int] = []
-    states: list[np.ndarray] = []
-    tok = BOS_ID
-    for _ in range(max_len):
-        h, *_ = gru_cell(params["embed"][tok][None, :] @ w_x.T, h, b_x, u_zr, params["u_h"])
-        logits, _ = output_logits(h, e, params)
-        tok = int(np.argmax(logits[0]))  # first (lowest-id) max wins
-        tokens.append(tok)
-        states.append(h[0])
-        if tok == EOS_ID:
-            break
+    w_x, b_x, u_zr = fused_gates(params)
+    tokens: list[list[int]] = [[] for _ in range(len(q))]
+    state_sum = np.empty((len(q), hidden))
+    for start in range(0, len(q), _DECODE_BLOCK):
+        live = np.arange(start, min(start + _DECODE_BLOCK, len(q)))
+        h, e_live = initial_state(q[live, None, :], params), e[live, None, :]
+        tok = np.full(len(live), BOS_ID)
+        for t in range(max_len):
+            h, *_ = gru_cell(params["embed"][tok][:, None, :] @ w_x.T, h, b_x, u_zr, params["u_h"])
+            logits, _ = output_logits(h, e_live, params)
+            tok = logits[:, 0].argmax(axis=1)  # first (lowest-id) max wins
+            for b, token in zip(live.tolist(), tok.tolist()):
+                tokens[b].append(token)
+            state_sum[live] = h[:, 0] if t == 0 else state_sum[live] + h[:, 0]
+            going = tok != EOS_ID
+            if not going.any():
+                break
+            live, h, e_live, tok = live[going], h[going], e_live[going], tok[going]
+    steps = np.array([len(row) for row in tokens])
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero state is rejected below
-        h_gen, inv_norm = generation_repr(np.mean(states, axis=0)[None, :], params)
-    if inv_norm[0] > 1e12:
+        h_gen, inv_norm = generation_repr((state_sum / steps[:, None])[:, None, :], params)
+    bad = (inv_norm[:, 0] > 1e12) | ~np.isfinite(h_gen[:, 0]).all(axis=1)
+    if bad.any() and inv_norm[bad.argmax(), 0] > 1e12:  # the first bad row decides
         raise DegenerateNorm("pooled generation representation has near-zero norm")
-    if not np.all(np.isfinite(h_gen)):
+    if bad.any():
         raise ValueError("generation representation values must be finite")
-    return GenerationTrace(tokens=tokens, h_gen=h_gen[0])
+    return tokens, h_gen[:, 0]
 
 
 def decoder_losses(

@@ -1,13 +1,13 @@
 """End-to-end evaluation and sensitivity sweeps.
 
-retrieve() is the one retrieval path of the pipeline: top-k ->
-threshold -> weight -> aggregate. evaluate() runs encode -> retrieve ->
-greedy decode -> metrics for every sample and emits a fully attributed,
-deterministic report. Each call tokenizes and encodes every distinct
-question and chunk text once, with the encoder's one batched encode.
-The two sweeps vary exactly one parameter (the alignment-weight
-temperature beta, or retrieval top-k): they prepare the samples once
-and rerun retrieve -> decode -> metrics per grid point.
+retrieve() is the retrieval path of one query: top-k -> threshold ->
+weight -> aggregate. evaluate() runs encode -> rank -> weight -> greedy
+decode -> metrics and emits a fully attributed, deterministic report.
+Each call encodes every distinct text and scores every sample's chunks
+once; ranking, weighting and decoding then run over all its samples at
+once, with the bits of retrieve and decode_greedy on each alone. The
+two sweeps vary exactly one parameter (beta, or top-k) and rerun
+select -> weigh -> decode -> metrics per grid point.
 """
 from __future__ import annotations
 
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import EvidenceAggregate, aggregate, normalize_weights
+from .aggregation import EvidenceAggregate, aggregate, normalize_weights, weigh
 from .data import QASample
-from .decoder import _decode_greedy, fused_gates
+from .decoder import decode_rows
 from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, top_k
+from .index import score_samples, select_evidence
 from .metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
 from .training import Checkpoint, TrainConfig, _prepare_samples
 from .vocab import tokenize
@@ -43,16 +44,8 @@ class EvalReport:
     mean_support_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "metrics": self.metrics.as_dict(),
-            "config": self.config,
-            "checkpoint_fingerprint": self.checkpoint_fingerprint,
-            "samples": self.samples,
-            "n_failures": self.n_failures,
-            "mean_consistency": self.mean_consistency,
-            "mean_support_rate": self.mean_support_rate,
-        }
+        own = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}  # no copies
+        return {"schema_version": REPORT_SCHEMA_VERSION, **own, "metrics": self.metrics.as_dict()}
 
 
 @dataclass
@@ -95,83 +88,73 @@ def retrieve(
 
 
 def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides: list[dict]):
-    """One report per override of config (default: the checkpoint's). Each distinct
-    question and chunk text is tokenized and encoded once for all of them."""
+    """One report per override of config (default: the checkpoint's): select -> weigh ->
+    greedy decode -> metrics, each over all samples at once. Each distinct text is
+    tokenized and encoded, and each sample scored, once for all of the reports."""
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
     base = config if config is not None else ckpt.config
     preps = _prepare_samples(dataset, ckpt.vocab, base, ckpt.params["enc_embed"], answer=False)
-    prepared = [(p, EvidenceIndex(range(len(p.texts)), p.texts, p.rows[1:])) for p in preps]
-    # Each chunk text is tokenized once for every report, and the gates are
-    # stacked and the checkpoint hashed once; all of it ends with the call.
+    rows, scored = preps[0].rows, score_samples(preps[0].rows, [p.slots for p in preps])
     chunk_tokens = functools.cache(lambda text: frozenset(tokenize(text)))
-    gates, fingerprint = fused_gates(ckpt.params), checkpoint_fingerprint(ckpt)
-    return [
-        _evaluate_prepared(
-            prepared, ckpt, dataclasses.replace(base, **o), chunk_tokens, gates, fingerprint
-        )
-        for o in overrides
-    ]
-
-
-def _evaluate_prepared(
-    prepared, ckpt: Checkpoint, config: TrainConfig, chunk_tokens, gates, fingerprint: str
-) -> EvalReport:
-    """retrieve -> greedy decode -> metrics under config for every (prepared sample, chunk
-    index) pair; chunk_tokens gives a chunk text's token set, gates are
-    fused_gates(ckpt.params) and fingerprint is checkpoint_fingerprint(ckpt)."""
-    vocab = ckpt.vocab
-    records = []
-    for prep, index in prepared:
-        q = prep.rows[0]
-        k = len(index) if config.oracle_evidence else config.top_k
-        results, agg = retrieve(q, index, k, config.tau, config.beta)
-        # A retrieval failure generates "", which is scored like any prediction.
-        pred, retrieved, consistency, rate = "", [], None, None
-        if agg is not None:
-            trace = _decode_greedy(q, agg, ckpt.params, gates, config.max_len)
-            pred = vocab.decode(trace.tokens)
-            consistency = float(np.linalg.norm(trace.h_gen - agg.vector.values))
-            retained = [chunk_tokens(index.text(r.chunk_id)) for r in results]
-            rate = _support_rate(tokenize(pred), retained)
-            alphas = dict(agg.source_weights.entries)
-            retrieved = [
+    fingerprint, reports = checkpoint_fingerprint(ckpt), []
+    for config in (dataclasses.replace(base, **o) for o in overrides):
+        kept = select_evidence(scored, None if config.oracle_evidence else config.top_k, config.tau)
+        live = [b for b, (positions, _) in enumerate(kept) if positions]
+        decoded = iter(())  # (tokens, h_gen, e, alphas) of each sample tau kept evidence for
+        if live:
+            counts = [len(kept[b][0]) for b in live]
+            picked = np.concatenate([preps[b].slots[1:][kept[b][0]] for b in live])
+            kept_scores = [s for b in live for s in kept[b][1]]
+            alphas, e = weigh(kept_scores, counts, config.beta, rows[picked])
+            q = rows[[preps[b].slots[0] for b in live]]
+            tokens, h_gen = decode_rows(q, e, ckpt.params, config.max_len)
+            decoded = zip(tokens, h_gen, e, np.split(alphas, np.cumsum(counts)[:-1]))
+        records = []
+        for prep, (positions, scores) in zip(preps, kept):
+            # A retrieval failure generates "", which is scored like any prediction.
+            pred, retrieved, consistency, rate = "", [], None, None
+            if positions:
+                token_ids, h, e_row, weights = next(decoded)
+                pred = ckpt.vocab.decode(token_ids)
+                consistency = float(np.linalg.norm(h - e_row))
+                retained = [chunk_tokens(prep.texts[i]) for i in positions]
+                rate = _support_rate(tokenize(pred), retained)
+                retrieved = [
+                    {"chunk_id": i, "title": prep.titles[i], "score": s, "alpha": a}
+                    for i, s, a in zip(positions, scores, weights.tolist())
+                ]
+            records.append(
                 {
-                    "chunk_id": r.chunk_id,
-                    "title": prep.titles[r.chunk_id],
-                    "score": r.score,
-                    "alpha": alphas[r.chunk_id],
+                    "id": prep.sample.id,
+                    "retrieval_failure": not positions,
+                    "retrieved": retrieved,
+                    "generated": pred,
+                    "em": exact_match(pred, prep.sample.answer),
+                    "f1": token_f1(pred, prep.sample.answer),
+                    "bleu": bleu([pred], [prep.sample.answer]),
+                    "rouge_l": rouge_l(pred, prep.sample.answer),
+                    "consistency": consistency,
+                    "support_rate": rate,
                 }
-                for r in results
-            ]
-        records.append(
-            {
-                "id": prep.sample.id,
-                "retrieval_failure": agg is None,
-                "retrieved": retrieved,
-                "generated": pred,
-                "em": exact_match(pred, prep.sample.answer),
-                "f1": token_f1(pred, prep.sample.answer),
-                "bleu": bleu([pred], [prep.sample.answer]),
-                "rouge_l": rouge_l(pred, prep.sample.answer),
-                "consistency": consistency,
-                "support_rate": rate,
-            }
+            )
+        # Corpus metrics: per-record values summed in record order and scaled as in score_corpus.
+        n = len(records)
+        means = [100 * (sum(r[k] for r in records) / n) for k in ("em", "f1", "bleu", "rouge_l")]
+        consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
+        rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
+        reports.append(
+            EvalReport(
+                metrics=MetricReport(*means, n_samples=n),
+                config=config.as_dict(),
+                checkpoint_fingerprint=fingerprint,
+                samples=records,
+                n_failures=sum(r["retrieval_failure"] for r in records),
+                mean_consistency=float(np.mean(consistencies)) if consistencies else None,
+                mean_support_rate=float(np.mean(rates)) if rates else None,
+            )
         )
-    # Corpus metrics: per-record values summed in record order and scaled as in score_corpus.
-    n = len(records)
-    means = [100 * (sum(r[key] for r in records) / n) for key in ("em", "f1", "bleu", "rouge_l")]
-    consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
-    support_rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
-    return EvalReport(
-        metrics=MetricReport(*means, n_samples=n),
-        config=config.as_dict(),
-        checkpoint_fingerprint=fingerprint,
-        samples=records,
-        n_failures=sum(r["retrieval_failure"] for r in records),
-        mean_consistency=float(np.mean(consistencies)) if consistencies else None,
-        mean_support_rate=float(np.mean(support_rates)) if support_rates else None,
-    )
+    return reports
 
 
 def evaluate(

@@ -5,7 +5,8 @@ unit-norm row per chunk in a single matrix. Every query scores every
 row, so results are exact and directly comparable to an exhaustive
 oracle. Selection does not sort the corpus: one partition finds the
 k-th best score, and only the rows at or above it, which include every
-row tied with it, are sorted.
+row tied with it, are sorted. score_samples and select_evidence rank many
+samples at once, each against its own chunks, with a lone top_k's bits.
 """
 from __future__ import annotations
 
@@ -98,29 +99,68 @@ def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceInd
 
 def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
     """Exact top-k by score, ties broken by ascending chunk id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     qv = values_of(q)
     if qv.shape[0] != index.dim:
         raise DimMismatch(f"query dim {qv.shape[0]} != index dim {index.dim}")
-    qn = np.linalg.norm(qv)
-    if qn < ZERO_NORM_EPS:
-        scores = np.zeros(len(index))
-    else:
-        # Rows are unit norm by construction, so the dot product with the
-        # normalized query is the cosine.
-        scores = index.matrix @ (qv / qn)
-    # Every score at or above the k-th best is a candidate, so a tie block
-    # that straddles k is kept whole. ids ascend, so a stable sort of the
-    # candidates on -score breaks ties by ascending chunk id.
-    neg = -scores
-    kth = min(k, len(index)) - 1
-    candidates = (neg <= np.partition(neg, kth)[kth]).nonzero()[0]
-    order = candidates[neg[candidates].argsort(kind="stable")][:k]
+    scores = cosine_scores(qv, index.matrix)
     return [
         RetrievalResult(chunk_id=int(index.ids[i]), score=float(scores[i]), rank=r + 1)
-        for r, i in enumerate(order)
+        for r, i in enumerate(best_k(scores, k))
     ]
+
+
+def cosine_scores(q: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Cosines (..., N) of query rows q (..., D) with their own unit rows matrix (..., N, D);
+    0 for a near-zero query. A stack of matrix-vector products gives lone queries' bits."""
+    norms = np.array([np.linalg.norm(v) for v in q.reshape(-1, q.shape[-1])]).reshape(q.shape[:-1])
+    zero = norms < ZERO_NORM_EPS
+    scores = (matrix @ (q / np.where(zero, 1.0, norms)[..., None])[..., None])[..., 0]
+    scores[zero] = 0.0
+    return scores
+
+
+def best_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the min(k, N) best scores in each row of scores (..., N), best first.
+
+    Every score at or above the k-th best is a candidate, so a tie block that straddles
+    k is kept whole; a stable sort on -score breaks ties by ascending position.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    neg = -scores.reshape(-1, scores.shape[-1])
+    kth = min(k, neg.shape[1]) - 1
+    candidates = np.flatnonzero(neg <= np.partition(neg, kth, axis=1)[:, kth : kth + 1])
+    rows, cols = np.divmod(candidates, neg.shape[1])  # a 1-D nonzero: 2-D is slower at 1e5
+    order = np.lexsort((neg[rows, cols], rows))  # by row, then -score; lexsort is stable
+    first = np.searchsorted(rows, np.arange(len(neg)))
+    return cols[order[first[:, None] + np.arange(kth + 1)]].reshape(*scores.shape[:-1], kth + 1)
+
+
+def score_samples(rows: np.ndarray, slots) -> list[tuple[list[int], np.ndarray]]:
+    """(samples, (G, N) cosine_scores) for each chunk count N: one stacked product each.
+
+    slots[b] holds the positions in rows of sample b's question row, then its chunks'.
+    """
+    sizes = np.array([len(at) for at in slots])
+    groups = []
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size).tolist()
+        at = np.stack([slots[b] for b in members])
+        groups.append((members, cosine_scores(rows[at[:, 0]], rows[at[:, 1:]])))
+    return groups
+
+
+def select_evidence(groups, k: int | None, tau: float) -> list[tuple[list[int], list[float]]]:
+    """Each sample's (positions, scores) of its best k chunks (all if k is None) scoring
+    >= tau, best first, as top_k and filter_by_threshold give them; groups from score_samples."""
+    kept = [None] * sum(len(members) for members, _ in groups)
+    for members, scores in groups:
+        order = best_k(scores, scores.shape[1] if k is None else k)
+        top = np.take_along_axis(scores, order, axis=1)
+        n_kept = (top >= tau).sum(axis=1)  # scores descend, so tau keeps a prefix
+        for b, pos, score, n in zip(members, order.tolist(), top.tolist(), n_kept.tolist()):
+            kept[b] = (pos[:n], score[:n])
+    return kept
 
 
 def filter_by_threshold(results: list[RetrievalResult], tau: float) -> list[RetrievalResult]:

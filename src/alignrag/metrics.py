@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyCorpus, LengthMismatch
 
@@ -33,13 +33,7 @@ class MetricReport:
     n_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "f1": self.f1,
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def normalize_text(text: str) -> str:

@@ -16,19 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .data import QASample, evidence_texts
 from .decoder import decoder_losses, decoder_shapes, init_decoder_params
-from .encoder import EncoderParams, encode_all, encode_rows, init_encoder_params, values_of
-from .errors import (
-    CheckpointError,
-    DimMismatch,
-    EmptyInput,
-    EmptyScores,
-    InvalidTokenId,
-    LengthMismatch,
-    NonFiniteLoss,
-)
-from .index import EvidenceIndex, filter_by_threshold, top_k
+from .encoder import EncoderParams, encode_all, encode_rows, init_encoder_params
+from .errors import CheckpointError, EmptyInput, EmptyScores, NonFiniteLoss
+from .index import score_samples, select_evidence
 from .serialization import read_container, write_container
-from .vocab import PAD_ID, Vocabulary
+from .vocab import Vocabulary
 
 CHECKPOINT_FORMAT_VERSION = 1
 CONS_EPS = 1e-12
@@ -138,40 +130,6 @@ def init_params(vocab_size: int, dim: int, hidden: int, seed: int) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Plain-array loss operations (contract surface; oracles in tests).
-# ---------------------------------------------------------------------------
-
-
-def nll_loss(step_distributions, target_tokens) -> float:
-    """Mean -log P(target) over steps; PAD positions are excluded."""
-    if len(step_distributions) != len(target_tokens):
-        raise LengthMismatch(
-            f"{len(step_distributions)} distributions vs {len(target_tokens)} targets"
-        )
-    total = 0.0
-    count = 0
-    for dist, tgt in zip(step_distributions, target_tokens):
-        if not 0 <= tgt < len(dist):
-            raise InvalidTokenId(f"target id {tgt} outside distribution of size {len(dist)}")
-        if tgt == PAD_ID:
-            continue
-        total += -math.log(dist[tgt])
-        count += 1
-    return total / count if count else 0.0
-
-
-def consistency_loss(h_gen, e, eps: float = CONS_EPS) -> float:
-    """Smoothed Euclidean distance: sqrt(||h_gen - e||^2 + eps) - sqrt(eps)."""
-    hv, ev = values_of(h_gen), values_of(e)
-    if hv.shape != ev.shape:
-        raise DimMismatch(f"dims differ: {hv.shape} vs {ev.shape}")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    diff = hv - ev
-    return float(np.sqrt(diff @ diff + eps) - np.sqrt(eps))
-
-
-# ---------------------------------------------------------------------------
 # Tape forward: retrieval -> weights -> aggregate -> teacher-forced decode.
 # ---------------------------------------------------------------------------
 
@@ -202,8 +160,10 @@ class _PreparedSample:
     titles: list[str]  # chunk titles and texts, in sample_chunks order
     texts: list[str]
     answer_ids: list[int] | None  # None when prepared without the answer
-    # The question's row, then each chunk's, set by _prepare_samples given a fixed table.
+    # Set by _prepare_samples given a fixed table: the call's rows, one per distinct
+    # text, and the positions in them of the question's row, then each chunk's.
     rows: np.ndarray | None = None
+    slots: np.ndarray | None = None
     # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
     # therefore depend on no trainable parameter.
     frozen: tuple[np.ndarray, np.ndarray] | None = None
@@ -262,31 +222,28 @@ def _prepare_samples(
         slot = {text: i for i, text in enumerate(dict.fromkeys(t for ts in segments for t in ts))}
         rows = encode_all(table, (cache[text] for text in slot))
         for prep, texts in zip(preps, segments):
-            prep.rows = rows[[slot[text] for text in texts]]
+            prep.rows, prep.slots = rows, np.array([slot[text] for text in texts])
     return preps
 
 
-def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, config: TrainConfig):
-    """Select a minibatch's evidence as inference does, then weight and aggregate it.
+def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, config: TrainConfig, slots=None):
+    """Select a minibatch's evidence with evaluate's ranking, then weight and aggregate it.
 
-    rows holds each sample's question row then its chunk rows, sample after
-    sample. Each sample ranks its own chunk rows with top_k and the
-    threshold. Returns q (B, D) and e (B, D).
+    slots[b] holds the positions in rows of sample b's question row, then of
+    its chunk rows (default: sample after sample). Returns q (B, D) and e (B, D).
     """
-    starts, picked, counts = [], [], []
-    start = 0
-    for prep in preps:
-        n = len(prep.texts)
-        index = EvidenceIndex(range(n), prep.texts, rows.value[start + 1 : start + 1 + n])
-        k = n if config.oracle_evidence else config.top_k
-        kept = filter_by_threshold(top_k(rows.value[start], index, k), config.tau)
-        if not kept:
+    if slots is None:
+        ends = np.cumsum([1 + len(p.texts) for p in preps])
+        slots = [np.arange(end - 1 - len(p.texts), end) for p, end in zip(preps, ends)]
+    k = None if config.oracle_evidence else config.top_k
+    kept = select_evidence(score_samples(rows.value, slots), k, config.tau)
+    picked, counts = [], []
+    for prep, at, (positions, _) in zip(preps, slots, kept):
+        if not positions:
             raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
-        starts.append(start)
-        picked += [start + 1 + r.chunk_id for r in kept]
-        counts.append(len(kept))
-        start += 1 + n
-    q = ad.gather_rows(rows, starts)
+        picked += at[1:][positions].tolist()
+        counts.append(len(positions))
+    q = ad.gather_rows(rows, [at[0] for at in slots])
     d = ad.gather_rows(rows, picked)
     return q, _aggregate(q, d, counts, config.beta, config.differentiable_weights)
 
@@ -476,7 +433,7 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
     if not config.freeze_encoder:
         return _prepare_samples(dataset, vocab, config)
     prepared = _prepare_samples(dataset, vocab, config, table=params["enc_embed"])
-    q, e = _evidence(prepared, ad.const(np.concatenate([p.rows for p in prepared])), config)
+    q, e = _evidence(prepared, ad.const(prepared[0].rows), config, [p.slots for p in prepared])
     for prep, q_row, e_row in zip(prepared, q.value, e.value):
         prep.frozen = (q_row, e_row)
     return prepared

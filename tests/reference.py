@@ -1,25 +1,30 @@
-"""Test-only references: tape ops, finite differences and the per-vector decoder.
+"""Test-only references: tape ops, finite differences, losses and the per-sample paths.
 
 Nothing in alignrag calls these. They are the independent paths the
 tests compare the library against: tape ops that only reference graphs
-use, central finite differences, the per-sample tape graphs the batched
-training path replaced (the evidence of one sample at a time, and the
-decoder one op per step), and the per-vector numpy decoder that greedy
-decoding replaced (one full softmax per step).
+use, central finite differences, the plain-array NLL and consistency
+losses, the per-sample tape graphs the batched training path replaced
+(the evidence of one sample at a time, and the decoder one op per
+step), the per-vector numpy decoder that greedy decoding replaced (one
+full softmax per step), and the per-sample evaluation that batched
+evaluation replaced (one index, one ranking, one softmax and one
+one-row greedy decode per sample), whose reports the batched path must
+match byte for byte.
 """
 import math
 
 import numpy as np
 
 from alignrag import autodiff as ad
-from alignrag import training
-from alignrag import aggregation
-from alignrag.decoder import fused_gates, gru_cell
-from alignrag.encoder import encode_rows
-from alignrag.errors import EmptyScores
-from alignrag.index import EvidenceIndex, filter_by_threshold, top_k
+from alignrag import evaluation, training
+from alignrag.decoder import fused_gates, generation_repr, gru_cell, output_logits
+from alignrag.decoder import initial_state as decoder_initial_state
+from alignrag.encoder import encode_rows, values_of
+from alignrag.errors import DimMismatch, EmptyScores, InvalidTokenId, LengthMismatch
+from alignrag.index import ZERO_NORM_EPS, EvidenceIndex, filter_by_threshold, top_k
+from alignrag.metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
 from alignrag.training import sample_chunks
-from alignrag.vocab import BOS_ID, EOS_ID
+from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID, tokenize
 
 # ---------------------------------------------------------------------------
 # Tape ops that only the reference graphs use.
@@ -172,6 +177,40 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Plain-array losses.
+# ---------------------------------------------------------------------------
+
+
+def nll_loss(step_distributions, target_tokens) -> float:
+    """Mean -log P(target) over steps; PAD positions are excluded."""
+    if len(step_distributions) != len(target_tokens):
+        raise LengthMismatch(
+            f"{len(step_distributions)} distributions vs {len(target_tokens)} targets"
+        )
+    total = 0.0
+    count = 0
+    for dist, tgt in zip(step_distributions, target_tokens):
+        if not 0 <= tgt < len(dist):
+            raise InvalidTokenId(f"target id {tgt} outside distribution of size {len(dist)}")
+        if tgt == PAD_ID:
+            continue
+        total += -math.log(dist[tgt])
+        count += 1
+    return total / count if count else 0.0
+
+
+def consistency_loss(h_gen, e, eps: float = training.CONS_EPS) -> float:
+    """Smoothed Euclidean distance: sqrt(||h_gen - e||^2 + eps) - sqrt(eps)."""
+    hv, ev = values_of(h_gen), values_of(e)
+    if hv.shape != ev.shape:
+        raise DimMismatch(f"dims differ: {hv.shape} vs {ev.shape}")
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    diff = hv - ev
+    return float(np.sqrt(diff @ diff + eps) - np.sqrt(eps))
+
+
+# ---------------------------------------------------------------------------
 # The per-vector numpy decoder: one state vector, a full softmax per step.
 # ---------------------------------------------------------------------------
 
@@ -186,7 +225,8 @@ def step(prev_token, h_prev, e, params):
     x_proj = params["embed"][prev_token][None, :] @ w_x.T
     h, *_ = gru_cell(x_proj, h_prev[None, :], b_x, u_zr, params["u_h"])
     logits = params["w_out"] @ np.concatenate([h[0], e]) + params["b_out"]
-    return aggregation.softmax(logits), h[0]
+    expd = np.exp(logits - logits.max())
+    return expd / expd.sum(), h[0]
 
 
 def pooled_generation_repr(states, params):
@@ -302,3 +342,104 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
         ad.const(math.sqrt(training.CONS_EPS)),
     )
     return l_nll, l_cons, ad.add(l_nll, ad.scale(l_cons, config.lambda_))
+
+
+# ---------------------------------------------------------------------------
+# The per-sample evaluation that batched evaluation replaced: one index, one
+# ranking, one softmax and one one-row greedy decode per sample.
+# ---------------------------------------------------------------------------
+
+
+def rank(q, index, k):
+    """One query's exact top-k (chunk id, score) pairs: one matrix-vector product,
+    then a partition and a stable sort of the candidates at or above the k-th score."""
+    qn = np.linalg.norm(q)
+    scores = np.zeros(len(index)) if qn < ZERO_NORM_EPS else index.matrix @ (q / qn)
+    neg = -scores
+    kth = min(k, len(index)) - 1
+    candidates = (neg <= np.partition(neg, kth)[kth]).nonzero()[0]
+    order = candidates[neg[candidates].argsort(kind="stable")][:k]
+    return [(int(index.ids[i]), float(scores[i])) for i in order]
+
+
+def weigh(scores, rows, beta):
+    """Alphas exp(x - max) / sum of one sample's kept scores, and e summed term by term."""
+    x = beta * np.array(scores, dtype=np.float64)
+    expd = np.exp(x - x.max())
+    alphas = (expd / expd.sum()).tolist()
+    e = None
+    for alpha, row in zip(alphas, rows):
+        e = alpha * row if e is None else e + alpha * row
+    return alphas, e
+
+
+def decode_row(q, e, params, max_len):
+    """Greedy decoding of one row on (1, ·) rows: the bits decode_rows must give every row."""
+    w_x, b_x, u_zr = fused_gates(params)
+    h = decoder_initial_state(q[None, :], params)
+    tokens, states, tok = [], [], BOS_ID
+    for _ in range(max_len):
+        h, *_ = gru_cell(params["embed"][tok][None, :] @ w_x.T, h, b_x, u_zr, params["u_h"])
+        logits, _ = output_logits(h, e[None, :], params)
+        tok = int(np.argmax(logits[0]))
+        tokens.append(tok)
+        states.append(h[0])
+        if tok == EOS_ID:
+            break
+    h_gen, _ = generation_repr(np.mean(states, axis=0)[None, :], params)
+    return tokens, h_gen[0]
+
+
+def evaluate(dataset, ckpt, config=None):
+    """The per-sample evaluate loop; its report must match evaluate's byte for byte."""
+    config = config if config is not None else ckpt.config
+    vocab = ckpt.vocab
+    preps = training._prepare_samples(
+        dataset, vocab, config, ckpt.params["enc_embed"], answer=False
+    )
+    records = []
+    for prep in preps:
+        rows = prep.rows[prep.slots]
+        index = EvidenceIndex(range(len(prep.texts)), prep.texts, rows[1:])
+        k = len(index) if config.oracle_evidence else config.top_k
+        kept = [(c, s) for c, s in rank(rows[0], index, k) if s >= config.tau]
+        pred, retrieved, consistency, rate = "", [], None, None
+        if kept:
+            alphas, e = weigh([s for _, s in kept], [index.matrix[c] for c, _ in kept], config.beta)
+            tokens, h_gen = decode_row(rows[0], e, ckpt.params, config.max_len)
+            pred = vocab.decode(tokens)
+            consistency = float(np.linalg.norm(h_gen - e))
+            chunk_tokens = [frozenset(tokenize(prep.texts[c])) for c, _ in kept]
+            rate = evaluation._support_rate(tokenize(pred), chunk_tokens)
+            retrieved = [
+                {"chunk_id": c, "title": prep.titles[c], "score": s, "alpha": a}
+                for (c, s), a in zip(kept, alphas)
+            ]
+        answer = prep.sample.answer
+        records.append(
+            {
+                "id": prep.sample.id,
+                "retrieval_failure": not kept,
+                "retrieved": retrieved,
+                "generated": pred,
+                "em": exact_match(pred, answer),
+                "f1": token_f1(pred, answer),
+                "bleu": bleu([pred], [answer]),
+                "rouge_l": rouge_l(pred, answer),
+                "consistency": consistency,
+                "support_rate": rate,
+            }
+        )
+    n = len(records)
+    means = [100 * (sum(r[key] for r in records) / n) for key in ("em", "f1", "bleu", "rouge_l")]
+    consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
+    rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
+    return evaluation.EvalReport(
+        metrics=MetricReport(*means, n_samples=n),
+        config=config.as_dict(),
+        checkpoint_fingerprint=evaluation.checkpoint_fingerprint(ckpt),
+        samples=records,
+        n_failures=sum(r["retrieval_failure"] for r in records),
+        mean_consistency=float(np.mean(consistencies)) if consistencies else None,
+        mean_support_rate=float(np.mean(rates)) if rates else None,
+    )

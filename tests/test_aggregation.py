@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrag.aggregation import aggregate, normalize_weights
+from alignrag.aggregation import aggregate, normalize_weights, weigh
 from alignrag.errors import EmptyScores, NonFiniteBeta, UnknownChunkId
 from alignrag.index import EvidenceIndex
+import reference as ref
 
 score_lists = st.lists(
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=1, max_size=12
@@ -114,3 +115,34 @@ class TestAggregate:
         w = normalize_weights([(0, 0.9), (42, 0.1)], 1.0)
         with pytest.raises(UnknownChunkId):
             aggregate(w, index)
+
+
+class TestWeigh:
+    """weigh weights many segments at once with the bits of one softmax and one
+    term-by-term sum per segment."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0, 4.0, 8.0])
+    def test_matches_per_segment_weighting(self, rng, beta):
+        counts = [1, 3, 5, 8, 12, 20, 3, 12, 1, 20, 5, 8]
+        scores = rng.uniform(-1.0, 1.0, size=sum(counts))
+        rows = rng.normal(size=(sum(counts), 6))
+        alphas, e = weigh(scores, counts, beta, rows)
+        start = 0
+        for s, n in enumerate(counts):
+            want_alphas, want_e = ref.weigh(scores[start : start + n], rows[start : start + n], beta)
+            assert alphas[start : start + n].tolist() == want_alphas
+            assert e[s].tobytes() == want_e.tobytes()
+            start += n
+
+    def test_normalize_weights_and_aggregate_share_its_bits(self, rng):
+        vecs = rng.normal(size=(12, 4))
+        index = EvidenceIndex(range(12), [f"c{i}" for i in range(12)], vecs)
+        scores = rng.uniform(-1.0, 1.0, size=12)
+        w = normalize_weights(list(enumerate(scores)), 2.0)
+        alphas, e = weigh(scores, [12], 2.0, vecs)
+        assert [a for _, a in w.entries] == alphas.tolist()
+        assert aggregate(w, index).vector.values.tobytes() == e[0].tobytes()
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(EmptyScores):
+            weigh([0.5, 0.2], [2, 0], 1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from alignrag import autodiff as ad
 from alignrag import training
-from alignrag.aggregation import softmax
+from alignrag.aggregation import weigh
 from alignrag.decoder import decoder_losses, decoder_shapes
 import reference as ref
 
@@ -217,11 +217,11 @@ class TestAggregateEvidence:
         assert all(parent is not q for parent in e.parents)
         ad.backward(ad.sum_all(ref.mul(e, ad.const(w))))
         assert q.grad is None
-        # The weights at the inputs' values, from the numpy softmax of each sample's scores.
+        # The weights at the inputs' values, from the numpy weighting of each sample's scores.
         weights = np.zeros((len(self.COUNTS), len(arrays["d"])))
         for b, (start, n) in enumerate(zip(np.cumsum(self.COUNTS) - self.COUNTS, self.COUNTS)):
             rows = arrays["d"][start : start + n]
-            weights[b, start : start + n] = softmax(self.BETA * (rows @ arrays["q"][b]))
+            weights[b, start : start + n] = weigh(rows @ arrays["q"][b], [n], self.BETA)[0]
         np.testing.assert_allclose(e.value, weights @ arrays["d"], rtol=0, atol=1e-15)
         # d's gradient is the finite difference of the aggregate with the weights held.
         for idx in np.ndindex(*arrays["d"].shape):

@@ -579,6 +579,22 @@ class TestInvalidSettings:
         err = capsys.readouterr().err
         assert "invalid settings" in err and key in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([], "expected a JSON object"), ({"retrieval": 5}, "'retrieval' is not a JSON object")],
+        ids=["top-level-list", "section-int"],
+    )
+    @pytest.mark.parametrize("command", ["index", "query", "train", "generate", "eval", "sweep"])
+    def test_config_that_is_not_an_object_is_io_error(self, workdir, command, doc, message, capsys):
+        if command == "query":
+            rc = cli.main(["index", str(workdir["corpus"]), "--out", str(workdir["root"] / "invalid-query.idx")])
+            assert rc == cli.EXIT_OK
+        config = workdir["root"] / "non-object-config.json"
+        config.write_text(json.dumps(doc))
+        rc = cli.main(self._argv(workdir, command) + ["--config", str(config)])
+        assert rc == cli.EXIT_IO
+        assert message in capsys.readouterr().err
+
 
 class TestCorruptHeader:
     """One corrupted byte anywhere before a container's payload exits 0, 2 or 3, never a traceback."""

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from alignrag.aggregation import EvidenceAggregate, EvidenceWeights
+from alignrag import decoder
 from alignrag.decoder import (
     decode_greedy,
+    decode_rows,
     decoder_shapes,
     fused_gates,
     generation_repr,
@@ -173,3 +175,77 @@ class TestGreedyDecode:
             tokens, h_gen = ref.decode_greedy(q.values, e, params, max_len=12)
             assert trace.tokens == tokens
             assert np.max(np.abs(trace.h_gen - h_gen)) <= 1e-12
+
+
+class TestBatchedDecode:
+    """decode_rows on a batch gives every row the bits of decoding it alone."""
+
+    MAX_LEN = 12
+
+    @staticmethod
+    @pytest.fixture
+    def batch(tiny_vocab):
+        params = init_decoder_params(tiny_vocab.size, dim=DIM, hidden=HID, seed=5)
+        params = {name: arr * 20 for name, arr in params.items()}  # varied argmax paths
+        # e[0] drives the EOS logit: strongly positive rows stop at step 1,
+        # strongly negative ones never emit EOS and run to max_len.
+        params["w_out"][:, HID] = 0.0
+        params["w_out"][EOS_ID, HID] = 40.0
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(40, DIM))
+        e = rng.normal(size=(40, DIM))
+        e[:, 0] = np.linspace(-3.0, 3.0, 40)
+        return q, e, params
+
+    def test_rows_match_one_row_decoding_bit_for_bit(self, batch):
+        q, e, params = batch
+        tokens, h_gen = decode_rows(q, e, params, self.MAX_LEN)
+        lengths = {len(t) for t in tokens}
+        assert 1 in lengths and self.MAX_LEN in lengths
+        assert lengths - {1, self.MAX_LEN}, "no row stopped mid-run"
+        for b in range(len(q)):
+            want_tokens, want_h = ref.decode_row(q[b], e[b], params, self.MAX_LEN)
+            assert tokens[b] == want_tokens
+            np.testing.assert_array_equal(h_gen[b], want_h)
+            # The per-vector softmax decoder agrees on the path.
+            assert ref.decode_greedy(q[b], e[b], params, self.MAX_LEN)[0] == want_tokens
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_changes_no_byte(self, batch, monkeypatch, block):
+        q, e, params = batch
+        tokens, h_gen = decode_rows(q, e, params, self.MAX_LEN)
+        monkeypatch.setattr(decoder, "_DECODE_BLOCK", block)
+        got_tokens, got_h = decode_rows(q, e, params, self.MAX_LEN)
+        assert got_tokens == tokens
+        assert got_h.tobytes() == h_gen.tobytes()
+
+    def test_decode_greedy_is_one_row(self, batch):
+        q, e, params = batch
+        trace = decode_greedy(q[7], make_evidence(e[7]), params, max_len=self.MAX_LEN)
+        tokens, h_gen = decode_rows(q[7:8], e[7:8], params, self.MAX_LEN)
+        assert trace.tokens == tokens[0]
+        np.testing.assert_array_equal(trace.h_gen, h_gen[0])
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_first_degenerate_row_decides_the_error(self, batch, monkeypatch, block):
+        q, e, params = batch
+        monkeypatch.setattr(decoder, "_DECODE_BLOCK", block)
+        zeroed = {**params, "w_pool": np.zeros_like(params["w_pool"])}
+        with pytest.raises(DegenerateNorm):
+            decode_rows(q, e, zeroed, self.MAX_LEN)
+        # A NaN row before any near-zero one raises ValueError, as decoding it alone does.
+        nan_first = q.copy()
+        nan_first[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            decode_rows(nan_first, e, zeroed, self.MAX_LEN)
+
+    def test_max_len_sizes_no_buffer(self, batch):
+        # Rows that stop at step 1 decode under a max_len no (B, max_len) buffer could hold.
+        q, e, params = batch
+        tokens, _ = decode_rows(q[-3:], e[-3:], params, max_len=10**15)
+        assert tokens == [[EOS_ID]] * 3
+
+    def test_empty_batch(self, batch):
+        q, e, params = batch
+        tokens, h_gen = decode_rows(q[:0], e[:0], params, self.MAX_LEN)
+        assert tokens == [] and h_gen.shape == (0, DIM)

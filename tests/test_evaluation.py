@@ -25,6 +25,7 @@ from alignrag.index import build_index
 from alignrag.metrics import exact_match
 from alignrag.training import TrainConfig, sample_chunks, train
 from alignrag.vocab import Vocabulary, tokenize
+import reference as ref
 
 BETA_GRID = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
 K_GRID = [1, 2, 3, 5, 8, 12]
@@ -222,6 +223,73 @@ class TestEvaluate:
         for rec in report.samples:
             assert len(rec["retrieved"]) == 1
             assert rec["retrieved"][0]["alpha"] == pytest.approx(1.0)
+
+
+class TestBatchedParity:
+    """evaluate ranks, weights and decodes all samples at once; every report byte must
+    equal the per-sample loop's (reference.evaluate)."""
+
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def ragged(multi_hop):
+        # Held-out multi-hop samples (20 chunks), single-hop ones (5 chunks), and a
+        # sample whose gold paragraph appears four times, so its chunks tie exactly.
+        held_out, ckpt = multi_hop
+        single, _ = generate_synthetic(
+            SyntheticSpec(seed=8, n_samples=3, n_gold_evidence=1, n_distractors=4)
+        )
+        base = held_out[0]
+        gold = base.context[1][1]  # the first gold paragraph, second by score after the echo
+        tied = dataclasses.replace(
+            base, id="tied", context=base.context[:6] + [(f"dup{i}", gold) for i in range(3)]
+        )
+        samples = [held_out[0], *single[:2], tied, *held_out[1:4], single[2]]
+        assert len({len(sample_chunks(s, ckpt.config)) for s in samples}) == 3
+        return samples, ckpt
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"top_k": 2}, {"top_k": 3}, {"top_k": 50}, {"oracle_evidence": True},
+         {"beta": 0.0}, {"beta": 8.0, "top_k": 12}, {"include_title": True, "top_k": 4},
+         {"max_len": 1}],
+        ids=["checkpoint", "k2", "k3", "k-over-n", "oracle", "beta0", "beta8", "titled", "len1"],
+    )
+    def test_report_bytes_match_per_sample_loop(self, ragged, overrides):
+        samples, ckpt = ragged
+        config = dataclasses.replace(ckpt.config, **overrides)
+        want = report_to_json(ref.evaluate(samples, ckpt, config))
+        assert report_to_json(evaluate(samples, ckpt, config)) == want
+
+    def test_tie_block_straddling_k_keeps_the_lowest_positions(self, ragged):
+        samples, ckpt = ragged
+        config = dataclasses.replace(ckpt.config, top_k=3)
+        rec = next(r for r in evaluate(samples, ckpt, config).samples if r["id"] == "tied")
+        scores = [r["score"] for r in rec["retrieved"]]
+        titles = [r["title"] for r in rec["retrieved"]]
+        # The gold paragraph and its three copies score alike; k cuts the tie block.
+        assert scores[1] == scores[2] and "dup2" not in titles
+
+    def test_mixed_retrieval_failures(self, ragged):
+        samples, ckpt = ragged
+        best = [r["retrieved"][0]["score"] for r in evaluate(samples, ckpt).samples]
+        tau = sorted(best)[len(best) // 2]
+        config = dataclasses.replace(ckpt.config, tau=tau)
+        report = evaluate(samples, ckpt, config)
+        assert 0 < report.n_failures < len(samples)
+        assert report_to_json(report) == report_to_json(ref.evaluate(samples, ckpt, config))
+
+    @pytest.mark.parametrize(
+        "param, grid, run",
+        [("beta", BETA_GRID, sweep_alignment_weight), ("top_k", [1, 2, 3, 5, 12, 50], sweep_top_k)],
+        ids=["beta", "top_k"],
+    )
+    def test_sweep_points_match_per_sample_loop(self, ragged, param, grid, run):
+        samples, ckpt = ragged
+        config = dataclasses.replace(ckpt.config, tau=0.5)
+        sweep = run(samples, ckpt, grid, config)
+        for value, report in zip(grid, sweep.reports, strict=True):
+            want = ref.evaluate(samples, ckpt, dataclasses.replace(config, **{param: value}))
+            assert report_to_json(report) == report_to_json(want)
 
 
 class TestSweeps:

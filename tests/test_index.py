@@ -18,8 +18,11 @@ from alignrag.index import (
     filter_by_threshold,
     load_index,
     save_index,
+    score_samples,
+    select_evidence,
     top_k,
 )
+import reference as ref
 
 CORPUS = [
     (0, "alpha bravo"),
@@ -229,6 +232,54 @@ class TestTopK:
         results = top_k(q, index, 1)
         assert results[0].chunk_id == 0
         assert results[0].score == pytest.approx(1.0)
+
+
+class TestBatchedRanking:
+    """score_samples + select_evidence rank many samples, each against its own chunk
+    rows, with the positions and score bits of the per-sample rule."""
+
+    @staticmethod
+    def samples(rng, sizes, dim=8):
+        # Rows drawn from a few vectors, so every sample has exact tie blocks; one
+        # question row is zero, which scores 0 everywhere.
+        pool = rng.normal(size=(5, dim))
+        pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+        rows, slots = [], []
+        for b, n in enumerate(sizes):
+            question = np.zeros(dim) if b == 2 else rng.normal(size=dim)
+            start = len(rows)
+            rows += [question, *pool[rng.integers(len(pool), size=n)]]
+            slots.append(np.arange(start, start + 1 + n))
+        return np.array(rows), slots
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8, 12, 20, None])
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, 0.3])
+    def test_matches_per_sample_ranking(self, rng, k, tau):
+        sizes = [9, 4, 9, 1, 13, 4, 9]
+        rows, slots = self.samples(rng, sizes)
+        kept = select_evidence(score_samples(rows, slots), k, tau)
+        for at, (positions, scores) in zip(slots, kept, strict=True):
+            index = EvidenceIndex(range(len(at) - 1), ["x"] * (len(at) - 1), rows[at[1:]])
+            want = [(c, s) for c, s in ref.rank(rows[at[0]], index, k or len(index)) if s >= tau]
+            assert list(zip(positions, scores)) == want
+        assert any(not positions for positions, _ in kept) == (tau == 0.3)
+
+    def test_zero_norm_question_keeps_the_first_k_positions(self, rng):
+        rows, slots = self.samples(rng, [6, 6, 6])
+        positions, scores = select_evidence(score_samples(rows, slots), 4, -1.0)[2]
+        assert positions == [0, 1, 2, 3] and scores == [0.0] * 4
+
+    def test_top_k_matches_per_sample_ranking(self, rng):
+        rows, slots = self.samples(rng, [30])
+        idx = EvidenceIndex(range(30), ["x"] * 30, rows[1:])
+        for k in (1, 4, 30, 31):
+            got = [(r.chunk_id, r.score) for r in top_k(rows[0], idx, k)]
+            assert got == ref.rank(rows[0], idx, k)
+
+    def test_bad_k_rejected(self, rng):
+        rows, slots = self.samples(rng, [3])
+        with pytest.raises(ValueError):
+            select_evidence(score_samples(rows, slots), 0, -1.0)
 
 
 class TestThreshold:

@@ -17,12 +17,10 @@ from alignrag.training import (
     Checkpoint,
     LossBreakdown,
     TrainConfig,
-    consistency_loss,
     init_params,
     joint_loss,
     joint_loss_and_grads,
     load_checkpoint,
-    nll_loss,
     sample_chunks,
     save_checkpoint,
     train,
@@ -59,53 +57,53 @@ class TestNllLoss:
     def test_uniform_distribution_gives_log_v(self):
         v = 10
         dists = [np.full(v, 1.0 / v)] * 3
-        assert nll_loss(dists, [4, 5, 6]) == pytest.approx(math.log(v))
+        assert ref.nll_loss(dists, [4, 5, 6]) == pytest.approx(math.log(v))
 
     def test_manual_two_step_oracle(self):
         d1 = np.array([0.1, 0.2, 0.3, 0.4])
         d2 = np.array([0.25, 0.25, 0.4, 0.1])
         expected = (-math.log(0.3) - math.log(0.25)) / 2
-        assert nll_loss([d1, d2], [2, 1]) == pytest.approx(expected)
+        assert ref.nll_loss([d1, d2], [2, 1]) == pytest.approx(expected)
 
     def test_pad_positions_excluded(self):
         d = np.array([0.5, 0.25, 0.25])
-        with_pad = nll_loss([d, d, d], [1, PAD_ID, 2])
+        with_pad = ref.nll_loss([d, d, d], [1, PAD_ID, 2])
         assert with_pad == pytest.approx((-math.log(0.25) - math.log(0.25)) / 2)
 
     def test_all_pad_returns_zero(self):
         d = np.array([0.5, 0.5])
-        assert nll_loss([d], [PAD_ID]) == 0.0
+        assert ref.nll_loss([d], [PAD_ID]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            nll_loss([np.ones(2)], [0, 1])
+            ref.nll_loss([np.ones(2)], [0, 1])
 
     def test_invalid_target(self):
         with pytest.raises(InvalidTokenId):
-            nll_loss([np.array([0.5, 0.5])], [5])
+            ref.nll_loss([np.array([0.5, 0.5])], [5])
 
 
 class TestConsistencyLoss:
     def test_unit_displacement(self):
         h = np.array([1.0, 0.0, 0.0])
         e = np.array([0.0, 0.0, 0.0])
-        assert consistency_loss(h, e) == pytest.approx(1.0, abs=1e-6)
+        assert ref.consistency_loss(h, e) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_at_coincidence(self):
         v = np.array([0.3, -0.2])
-        assert consistency_loss(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert ref.consistency_loss(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_euclidean_norm(self, rng):
         h, e = rng.normal(size=5), rng.normal(size=5)
-        assert consistency_loss(h, e) == pytest.approx(np.linalg.norm(h - e), abs=1e-6)
+        assert ref.consistency_loss(h, e) == pytest.approx(np.linalg.norm(h - e), abs=1e-6)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            consistency_loss(np.ones(3), np.ones(4))
+            ref.consistency_loss(np.ones(3), np.ones(4))
 
     def test_eps_validated(self):
         with pytest.raises(ValueError):
-            consistency_loss(np.ones(2), np.zeros(2), eps=0.0)
+            ref.consistency_loss(np.ones(2), np.zeros(2), eps=0.0)
 
 
 class TestLossBreakdown:
@@ -212,8 +210,8 @@ class TestTapeInferenceParity:
             dist, h = ref.step(tok, h, agg.vector.values, params)
             dists.append(dist)
             states.append(h)
-        l_nll = nll_loss(dists, answer_ids + [EOS_ID])
-        l_cons = consistency_loss(ref.pooled_generation_repr(states, params), agg.vector)
+        l_nll = ref.nll_loss(dists, answer_ids + [EOS_ID])
+        l_cons = ref.consistency_loss(ref.pooled_generation_repr(states, params), agg.vector)
 
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
