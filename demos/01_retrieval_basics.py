@@ -36,8 +36,8 @@ def main() -> None:
     print("\n== 3. Exact cosine retrieval ==")
     index = build_index(CORPUS, vocab, params)
     results = top_k(q, index, k=3)
-    for r in results:
-        print(f"  rank {r.rank}: score={r.score:+.4f}  {index.text(r.chunk_id)!r}")
+    for rank, r in enumerate(results, start=1):
+        print(f"  rank {rank}: score={r.score:+.4f}  {index.text(r.chunk_id)!r}")
 
     print("\n== 4. Threshold filtering ==")
     tau = results[1].score  # keep everything scoring at least as well as rank 2

@@ -49,8 +49,8 @@ def main() -> None:
     index = build_index(list(enumerate(text for _, text in chunks)), ckpt.vocab, ckpt.encoder)
     q = encode(s.question, ckpt.vocab, ckpt.encoder)
     results, agg = retrieve(q, index, config.top_k, config.tau, config.beta)
-    for r in results:
-        print(f"  retrieved rank {r.rank}: {chunks[r.chunk_id][0]!r} (score {r.score:.3f})")
+    for rank, r in enumerate(results, start=1):
+        print(f"  retrieved rank {rank}: {chunks[r.chunk_id][0]!r} (score {r.score:.3f})")
     trace = decode_greedy(q, agg, ckpt.params)
     print(f"  generated: {ckpt.vocab.decode(trace.tokens)!r}   (gold: {s.answer!r})")
 

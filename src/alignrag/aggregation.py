@@ -41,22 +41,28 @@ def weigh(scores, counts, beta: float, rows=None) -> tuple[np.ndarray, np.ndarra
         raise EmptyScores("no scores to normalize")
     if not math.isfinite(beta) or beta < 0:
         raise NonFiniteBeta(f"beta must be finite and >= 0, got {beta}")
-    x = beta * np.asarray(scores, dtype=np.float64)
+    x, blocks = beta * np.asarray(scores, dtype=np.float64), _blocks(counts)
     alphas = np.empty_like(x)
-    # One block per segment length: numpy's pairwise sum regroups from 8 terms up.
-    for n in np.unique(counts).tolist():
-        at = (np.cumsum(counts) - counts)[counts == n][:, None] + np.arange(n)
+    for _, at in blocks:
         expd = np.exp(x[at] - x[at].max(axis=1, keepdims=True))
         alphas[at] = expd / expd.sum(axis=1, keepdims=True)
-    return alphas, None if rows is None else _weighted_sum(alphas, counts, rows)
+    return alphas, None if rows is None else _weighted_sum(alphas, rows, blocks)
 
 
-def _weighted_sum(alphas, counts, rows) -> np.ndarray:
-    """Each segment's alpha-weighted rows, summed first term first, in order."""
-    terms, starts = alphas[:, None] * rows, np.cumsum(counts) - counts
-    e = terms[starts]
-    for j in range(1, counts.max()):
-        e[counts > j] += terms[starts[counts > j] + j]
+def _blocks(counts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each segment length n, the segments of n terms and their terms' (S_n, n) positions:
+    one block per length, as numpy's pairwise sum regroups from 8 terms up."""
+    starts = np.cumsum(counts) - counts
+    members = [(n, np.flatnonzero(counts == n)) for n in sorted(set(counts.tolist()))]
+    return [(m, starts[m][:, None] + np.arange(n)) for n, m in members]
+
+
+def _weighted_sum(alphas, rows, blocks) -> np.ndarray:
+    """Each segment's alpha-weighted rows (blocks from _blocks), summed first term first."""
+    terms = alphas[:, None] * rows
+    e = np.empty((sum(len(members) for members, _ in blocks), rows.shape[1]))
+    for members, at in blocks:
+        e[members] = np.add.accumulate(terms[at], axis=1)[:, -1]  # a running sum is in order
     return e
 
 
@@ -74,5 +80,5 @@ def aggregate(weights: EvidenceWeights, index: EvidenceIndex) -> EvidenceAggrega
     """
     rows = index.matrix[[index.row(chunk_id) for chunk_id, _ in weights.entries]]
     alphas = np.array([alpha for _, alpha in weights.entries], dtype=np.float64)
-    vec = _weighted_sum(alphas, np.array([len(alphas)]), rows)[0]
+    vec = _weighted_sum(alphas, rows, _blocks(np.array([len(alphas)])))[0]
     return EvidenceAggregate(vector=SemanticVector(vec, normalized=False), source_weights=weights)

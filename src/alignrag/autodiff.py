@@ -3,9 +3,10 @@
 Holds exactly the ops the training graph runs: const and param leaves,
 add, scale, gather_rows, row, segment_mean, sum_all and
 l2_normalize_rows, plus backward. A coarse op elsewhere, such as
-decoder.decoder_losses or training's evidence weighting and aggregation,
-is a Tensor whose grad_fns the op derives by hand. Shapes are scalars,
-vectors, and matrices; the only broadcasting allowed is scalar-with-array.
+decoder.decoder_losses or training's evidence node (its forward is
+inference's aggregation.weigh), is a Tensor whose grad_fns it derives by
+hand. Shapes are scalars, vectors, and matrices; the only broadcasting
+allowed is scalar-with-array.
 This module imports no other alignrag module.
 """
 from __future__ import annotations

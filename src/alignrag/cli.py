@@ -131,14 +131,14 @@ def cmd_query(args) -> int:
     alphas = dict(agg.source_weights.entries)
     if args.format == "json":
         rows = [
-            {"rank": r.rank, "id": r.chunk_id, "score": r.score, "alpha": alphas[r.chunk_id]}
-            for r in results
+            {"rank": rank, "id": r.chunk_id, "score": r.score, "alpha": alphas[r.chunk_id]}
+            for rank, r in enumerate(results, start=1)
         ]
         print(json.dumps(rows, sort_keys=True))
     else:
         print("rank\tid\tscore\talpha")
-        for r in results:
-            print(f"{r.rank}\t{r.chunk_id}\t{r.score:.6f}\t{alphas[r.chunk_id]:.6f}")
+        for rank, r in enumerate(results, start=1):
+            print(f"{rank}\t{r.chunk_id}\t{r.score:.6f}\t{alphas[r.chunk_id]:.6f}")
     return EXIT_OK
 
 

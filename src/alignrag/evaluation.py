@@ -23,11 +23,11 @@ import numpy as np
 from .aggregation import EvidenceAggregate, aggregate, normalize_weights, weigh
 from .data import QASample
 from .decoder import decode_rows
+from .encoder import encode_all
 from .errors import EmptyScores, InvalidGrid
-from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, top_k
-from .index import score_samples, select_evidence
-from .metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
-from .training import Checkpoint, TrainConfig, _prepare_samples
+from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, score_samples, top_k
+from .metrics import MetricReport, mean_report, sample_scores
+from .training import Checkpoint, TrainConfig, _layout, _prepare_samples, _select
 from .vocab import tokenize
 
 REPORT_SCHEMA_VERSION = 1
@@ -94,21 +94,18 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
     base = config if config is not None else ckpt.config
-    preps = _prepare_samples(dataset, ckpt.vocab, base, ckpt.params["enc_embed"], answer=False)
-    rows, scored = preps[0].rows, score_samples(preps[0].rows, [p.slots for p in preps])
+    preps = _prepare_samples(dataset, ckpt.vocab, base, answer=False)
+    ids, slots = _layout(preps)
+    rows = encode_all(ckpt.params["enc_embed"], ids)
+    scored = score_samples(rows, slots)
     chunk_tokens = functools.cache(lambda text: frozenset(tokenize(text)))
     fingerprint, reports = checkpoint_fingerprint(ckpt), []
     for config in (dataclasses.replace(base, **o) for o in overrides):
-        kept = select_evidence(scored, None if config.oracle_evidence else config.top_k, config.tau)
-        live = [b for b, (positions, _) in enumerate(kept) if positions]
+        kept, (q_at, picked, counts, kept_scores) = _select(scored, slots, config)
         decoded = iter(())  # (tokens, h_gen, e, alphas) of each sample tau kept evidence for
-        if live:
-            counts = [len(kept[b][0]) for b in live]
-            picked = np.concatenate([preps[b].slots[1:][kept[b][0]] for b in live])
-            kept_scores = [s for b in live for s in kept[b][1]]
+        if counts:
             alphas, e = weigh(kept_scores, counts, config.beta, rows[picked])
-            q = rows[[preps[b].slots[0] for b in live]]
-            tokens, h_gen = decode_rows(q, e, ckpt.params, config.max_len)
+            tokens, h_gen = decode_rows(rows[q_at], e, ckpt.params, config.max_len)
             decoded = zip(tokens, h_gen, e, np.split(alphas, np.cumsum(counts)[:-1]))
         records = []
         for prep, (positions, scores) in zip(preps, kept):
@@ -130,22 +127,16 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
                     "retrieval_failure": not positions,
                     "retrieved": retrieved,
                     "generated": pred,
-                    "em": exact_match(pred, prep.sample.answer),
-                    "f1": token_f1(pred, prep.sample.answer),
-                    "bleu": bleu([pred], [prep.sample.answer]),
-                    "rouge_l": rouge_l(pred, prep.sample.answer),
+                    **sample_scores(pred, prep.sample.answer),
                     "consistency": consistency,
                     "support_rate": rate,
                 }
             )
-        # Corpus metrics: per-record values summed in record order and scaled as in score_corpus.
-        n = len(records)
-        means = [100 * (sum(r[k] for r in records) / n) for k in ("em", "f1", "bleu", "rouge_l")]
         consistencies = [r["consistency"] for r in records if r["consistency"] is not None]
         rates = [r["support_rate"] for r in records if r["support_rate"] is not None]
         reports.append(
             EvalReport(
-                metrics=MetricReport(*means, n_samples=n),
+                metrics=mean_report(records),
                 config=config.as_dict(),
                 checkpoint_fingerprint=fingerprint,
                 samples=records,

@@ -35,7 +35,6 @@ UNIT_NORM_TOL = 1e-6
 class RetrievalResult:
     chunk_id: int
     score: float
-    rank: int
 
 
 class EvidenceIndex:
@@ -103,10 +102,7 @@ def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
     if qv.shape[0] != index.dim:
         raise DimMismatch(f"query dim {qv.shape[0]} != index dim {index.dim}")
     scores = cosine_scores(qv, index.matrix)
-    return [
-        RetrievalResult(chunk_id=int(index.ids[i]), score=float(scores[i]), rank=r + 1)
-        for r, i in enumerate(best_k(scores, k))
-    ]
+    return [RetrievalResult(int(index.ids[i]), float(scores[i])) for i in best_k(scores, k)]
 
 
 def cosine_scores(q: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -145,7 +141,7 @@ def score_samples(rows: np.ndarray, slots) -> list[tuple[list[int], np.ndarray]]
     groups = []
     for size in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == size).tolist()
-        at = np.stack([slots[b] for b in members])
+        at = np.array([slots[b] for b in members])
         groups.append((members, cosine_scores(rows[at[:, 0]], rows[at[:, 1:]])))
     return groups
 

@@ -140,15 +140,22 @@ def rouge_l(pred: str, gold: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def sample_scores(pred: str, gold: str) -> dict:
+    """The per-sample scores a corpus report averages, in MetricReport's field order."""
+    return {"em": exact_match(pred, gold), "f1": token_f1(pred, gold),
+            "bleu": bleu([pred], [gold]), "rouge_l": rouge_l(pred, gold)}
+
+
+def mean_report(scores: list[dict]) -> MetricReport:
+    """The corpus report of sample_scores dicts: each score summed in sample order, / n, x 100."""
+    n, keys = len(scores), ("em", "f1", "bleu", "rouge_l")
+    return MetricReport(*(100 * (sum(s[k] for s in scores) / n) for k in keys), n_samples=n)
+
+
 def score_corpus(preds: list[str], golds: list[str]) -> MetricReport:
     """Corpus report; EM/F1/ROUGE-L (and BLEU) are means of per-sample values."""
     if len(preds) != len(golds):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} references")
     if not preds:
         raise EmptyCorpus("cannot score an empty corpus")
-    n = len(preds)
-    em = sum(exact_match(p, g) for p, g in zip(preds, golds)) / n
-    f1 = sum(token_f1(p, g) for p, g in zip(preds, golds)) / n
-    bl = sum(bleu([p], [g]) for p, g in zip(preds, golds)) / n
-    rl = sum(rouge_l(p, g) for p, g in zip(preds, golds)) / n
-    return MetricReport(em=100 * em, f1=100 * f1, bleu=100 * bl, rouge_l=100 * rl, n_samples=n)
+    return mean_report([sample_scores(p, g) for p, g in zip(preds, golds)])

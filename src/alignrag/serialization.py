@@ -79,7 +79,8 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         # The arrays must tile the payload exactly, in manifest order.
         end = 0
         for name, shape, start in manifest:
-            if not all(type(d) is int and d >= 0 for d in shape) or start != end:
+            valid_shape = all(type(d) is int and d >= 0 for d in shape)
+            if type(name) is not str or not valid_shape or start != end:
                 raise CheckpointError(f"{path}: array {name!r} has shape {shape} at offset {start}")
             end += 8 * math.prod(shape)
         # A regular file too short for the manifest is refused before allocating.

@@ -2,9 +2,9 @@
 
 The objective combines teacher-forced negative log-likelihood with the
 consistency penalty ||h_gen - e||_2 (smoothed at the origin), weighted
-by lambda. All gradients come from the in-repo reverse-mode tape in
-autodiff.py and are validated against central finite differences in the
-test suite.
+by lambda. Evidence takes evaluate's steps (_layout, _select, then weigh),
+so the tape's e is retrieve's e bit for bit. Gradients come from the tape
+in autodiff.py and are checked against central finite differences.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
+from .aggregation import weigh
 from .data import QASample, evidence_texts
 from .decoder import decoder_losses, decoder_shapes, init_decoder_params
 from .encoder import EncoderParams, encode_all, encode_rows, init_encoder_params
@@ -106,6 +107,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise TypeError(f"config must be a JSON object, got {d!r}")
         # Checkpoints written before the ignored grad_check flag was removed
         # still carry it in their stored config.
         return cls(**{k: v for k, v in d.items() if k != "grad_check"})
@@ -155,15 +158,10 @@ class _PreparedSample:
     """A sample tokenized once: what the tape and evaluate read of it."""
 
     sample: QASample
-    ids: np.ndarray  # question token ids, then each chunk's, concatenated
-    lengths: list[int]  # the question's length, then each chunk's
+    token_ids: list[np.ndarray]  # the question's token ids, then each chunk's
     titles: list[str]  # chunk titles and texts, in sample_chunks order
     texts: list[str]
     answer_ids: list[int] | None  # None when prepared without the answer
-    # Set by _prepare_samples given a fixed table: the call's rows, one per distinct
-    # text, and the positions in them of the question's row, then each chunk's.
-    rows: np.ndarray | None = None
-    slots: np.ndarray | None = None
     # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
     # therefore depend on no trainable parameter.
     frozen: tuple[np.ndarray, np.ndarray] | None = None
@@ -202,8 +200,7 @@ def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=
             raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
     return _PreparedSample(
         sample=sample,
-        ids=np.concatenate(segments),
-        lengths=[len(ids) for ids in segments],
+        token_ids=segments,
         titles=[title for title, _ in chunks],
         texts=[text for _, text in chunks],
         answer_ids=answer_ids,
@@ -211,77 +208,74 @@ def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=
 
 
 def _prepare_samples(
-    samples, vocab: Vocabulary, config: TrainConfig, table=None, answer=True
+    samples, vocab: Vocabulary, config: TrainConfig, answer=True
 ) -> list[_PreparedSample]:
-    """Prepare every sample with one token cache, so each distinct text is tokenized once;
-    given a fixed encoder table, also encode each distinct question and chunk text once."""
+    """Prepare every sample with one token cache, so each distinct text is tokenized once."""
     cache: dict[str, np.ndarray] = {}
-    preps = [_prepare(s, vocab, config, cache, answer) for s in samples]
-    if table is not None:
-        segments = [(p.sample.question, *p.texts) for p in preps]
-        slot = {text: i for i, text in enumerate(dict.fromkeys(t for ts in segments for t in ts))}
-        rows = encode_all(table, (cache[text] for text in slot))
-        for prep, texts in zip(preps, segments):
-            prep.rows, prep.slots = rows, np.array([slot[text] for text in texts])
-    return preps
+    return [_prepare(s, vocab, config, cache, answer) for s in samples]
 
 
-def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, config: TrainConfig, slots=None):
-    """Select a minibatch's evidence with evaluate's ranking, then weight and aggregate it.
+def _layout(preps: list[_PreparedSample]) -> tuple[list[np.ndarray], list[list[int]]]:
+    """The token ids of one row per distinct question or chunk text of preps, and each
+    sample's slots: the positions in those rows of its question's, then each chunk's."""
+    token_ids: dict[str, np.ndarray] = {}  # a text keeps the position it first took
+    for prep in preps:
+        token_ids.update(zip((prep.sample.question, *prep.texts), prep.token_ids))
+    row = dict(zip(token_ids, range(len(token_ids))))
+    return list(token_ids.values()), [[row[t] for t in (p.sample.question, *p.texts)] for p in preps]
 
-    slots[b] holds the positions in rows of sample b's question row, then of
-    its chunk rows (default: sample after sample). Returns q (B, D) and e (B, D).
-    """
-    if slots is None:
-        ends = np.cumsum([1 + len(p.texts) for p in preps])
-        slots = [np.arange(end - 1 - len(p.texts), end) for p, end in zip(preps, ends)]
-    k = None if config.oracle_evidence else config.top_k
-    kept = select_evidence(score_samples(rows.value, slots), k, config.tau)
-    picked, counts = [], []
-    for prep, at, (positions, _) in zip(preps, slots, kept):
+
+def _select(scored, slots, config: TrainConfig):
+    """select_evidence on score_samples(rows, slots) at config's depth and threshold: each
+    sample's kept (positions, scores), and over the samples that kept any, for weighing:
+    their question rows, kept chunk rows, counts and scores, sample after sample."""
+    kept = select_evidence(scored, None if config.oracle_evidence else config.top_k, config.tau)
+    live = [(at, positions, scores) for at, (positions, scores) in zip(slots, kept) if positions]
+    picked = [at[1 + i] for at, positions, _ in live for i in positions]
+    counts = [len(positions) for _, positions, _ in live]
+    return kept, ([at[0] for at, *_ in live], picked, counts, [s for *_, ss in live for s in ss])
+
+
+def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, slots, config: TrainConfig):
+    """Select a minibatch's evidence as evaluate does, then weigh and aggregate it in one
+    tape node; rows and slots come from _layout. Returns q (B, D) and e (B, D)."""
+    kept, (q_at, picked, counts, scores) = _select(score_samples(rows.value, slots), slots, config)
+    for prep, (positions, _) in zip(preps, kept):
         if not positions:
             raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
-        picked += at[1:][positions].tolist()
-        counts.append(len(positions))
-    q = ad.gather_rows(rows, [at[0] for at in slots])
-    d = ad.gather_rows(rows, picked)
-    return q, _aggregate(q, d, counts, config.beta, config.differentiable_weights)
+    q, d = ad.gather_rows(rows, q_at), ad.gather_rows(rows, picked)
+    return q, _aggregate(q, d, counts, scores, config.beta, config.differentiable_weights)
 
 
-def _aggregate(q: ad.Tensor, d: ad.Tensor, counts, beta: float, differentiable: bool):
+def _aggregate(q: ad.Tensor, d: ad.Tensor, counts, scores, beta: float, differentiable: bool):
     """e_b = sum_j alpha_j d_j over sample b's picked rows, as one tape node.
 
-    d (P, D) holds every sample's picked rows, sample after sample, counts[b]
-    of them for sample b; alpha = softmax(beta d_j . q_b) within each
-    sample's rows, with the max subtracted. Without differentiable weights
-    alpha is a constant and q is not a parent. The backward is derived by hand.
+    d (P, D) holds every sample's picked rows, counts[b] of them for sample b,
+    and scores their scores d_j . q_b. The forward is inference's weigh: alpha
+    = softmax(beta * score) within each sample, e summed in rank order. Without
+    differentiable weights alpha is a constant and q is not a parent.
+    The backward is derived by hand.
     """
-    counts = np.asarray(counts)
+    alpha, e = weigh(scores, counts, beta, d.value)
     seg = np.repeat(np.arange(len(counts)), counts)  # the sample of each picked row
     starts = np.cumsum(counts) - counts
-    q_rows, d_val = q.value[seg], d.value
-    scores = np.einsum("ij,ij->i", d_val, q_rows) * beta
-    shifted = scores - np.maximum.reduceat(scores, starts)[seg]
-    lse = np.log(np.add.reduceat(np.exp(shifted), starts))
-    alpha = np.exp(shifted - lse[seg])
 
     def d_scores(g):
         # beta * dL/dz of the softmax within each sample's rows.
-        d_alpha = np.einsum("ij,ij->i", g[seg], d_val)
+        d_alpha = np.einsum("ij,ij->i", g[seg], d.value)
         return beta * alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[seg])
 
     def grad_d(g):
         out = alpha[:, None] * g[seg]
         if differentiable:
-            out += d_scores(g)[:, None] * q_rows
+            out += d_scores(g)[:, None] * q.value[seg]
         return out
 
-    e = np.add.reduceat(alpha[:, None] * d_val, starts, axis=0)
     if not differentiable:
         return ad.Tensor(e, parents=(d,), grad_fns=(grad_d,))
 
     def grad_q(g):
-        return np.add.reduceat(d_scores(g)[:, None] * d_val, starts, axis=0)
+        return np.add.reduceat(d_scores(g)[:, None] * d.value, starts, axis=0)
 
     return ad.Tensor(e, parents=(q, d), grad_fns=(grad_q, grad_d))
 
@@ -290,15 +284,16 @@ def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], conf
     """Build the joint-loss graph of a minibatch: the batch means of l_nll and
     l_cons, l_joint, and the (2, B) per-sample [l_nll; l_cons] they average.
 
-    Unless every sample's evidence is fixed, the minibatch's questions and
-    chunks are encoded as one batch, sample after sample.
+    Unless every sample's evidence is fixed, the minibatch's distinct
+    question and chunk texts are encoded as one batch.
     """
     if all(p.frozen is not None for p in preps):
         q, e = (ad.const(np.stack(v)) for v in zip(*(p.frozen for p in preps)))
     else:
-        ids = np.concatenate([p.ids for p in preps])
-        rows = encode_rows(tensors["enc_embed"], ids, [n for p in preps for n in p.lengths])
-        q, e = _evidence(preps, rows, config)
+        token_ids, slots = _layout(preps)
+        lengths = [len(ids) for ids in token_ids]
+        rows = encode_rows(tensors["enc_embed"], np.concatenate(token_ids), lengths)
+        q, e = _evidence(preps, rows, slots, config)
     per_sample = decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
     l_nll, l_cons = (
         ad.scale(ad.sum_all(ad.row(per_sample, i)), 1.0 / len(preps)) for i in (0, 1)
@@ -430,10 +425,12 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
     of each sample: each distinct text is encoded once, and the selection the
     joint path runs records them from those rows, for every sample at once.
     """
+    prepared = _prepare_samples(dataset, vocab, config)
     if not config.freeze_encoder:
-        return _prepare_samples(dataset, vocab, config)
-    prepared = _prepare_samples(dataset, vocab, config, table=params["enc_embed"])
-    q, e = _evidence(prepared, ad.const(prepared[0].rows), config, [p.slots for p in prepared])
+        return prepared
+    token_ids, slots = _layout(prepared)
+    rows = ad.const(encode_all(params["enc_embed"], token_ids))
+    q, e = _evidence(prepared, rows, slots, config)
     for prep, q_row, e_row in zip(prepared, q.value, e.value):
         prep.frozen = (q_row, e_row)
     return prepared

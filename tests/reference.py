@@ -19,7 +19,7 @@ from alignrag import autodiff as ad
 from alignrag import evaluation, training
 from alignrag.decoder import fused_gates, generation_repr, gru_cell, output_logits
 from alignrag.decoder import initial_state as decoder_initial_state
-from alignrag.encoder import encode_rows, values_of
+from alignrag.encoder import encode_all, encode_rows, values_of
 from alignrag.errors import DimMismatch, EmptyScores, InvalidTokenId, LengthMismatch
 from alignrag.index import ZERO_NORM_EPS, EvidenceIndex, filter_by_threshold, top_k
 from alignrag.metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
@@ -260,7 +260,7 @@ def evidence_tape(prep, embed, config):
     Encodes the prepared sample's question and chunks as one batch, then
     selects, weights and aggregates its evidence op by op. Returns (q, e).
     """
-    rows = encode_rows(embed, prep.ids, prep.lengths)
+    rows = encode_rows(embed, np.concatenate(prep.token_ids), [len(ids) for ids in prep.token_ids])
     q = ad.row(rows, 0)
     n = len(prep.texts)
     index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
@@ -394,12 +394,10 @@ def evaluate(dataset, ckpt, config=None):
     """The per-sample evaluate loop; its report must match evaluate's byte for byte."""
     config = config if config is not None else ckpt.config
     vocab = ckpt.vocab
-    preps = training._prepare_samples(
-        dataset, vocab, config, ckpt.params["enc_embed"], answer=False
-    )
+    preps = training._prepare_samples(dataset, vocab, config, answer=False)
     records = []
     for prep in preps:
-        rows = prep.rows[prep.slots]
+        rows = encode_all(ckpt.params["enc_embed"], prep.token_ids)
         index = EvidenceIndex(range(len(prep.texts)), prep.texts, rows[1:])
         k = len(index) if config.oracle_evidence else config.top_k
         kept = [(c, s) for c, s in rank(rows[0], index, k) if s >= config.tau]

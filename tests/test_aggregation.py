@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrag.aggregation import aggregate, normalize_weights, weigh
+from alignrag.aggregation import _blocks, _weighted_sum, aggregate, normalize_weights, weigh
 from alignrag.errors import EmptyScores, NonFiniteBeta, UnknownChunkId
 from alignrag.index import EvidenceIndex
 import reference as ref
@@ -132,6 +132,24 @@ class TestWeigh:
             want_alphas, want_e = ref.weigh(scores[start : start + n], rows[start : start + n], beta)
             assert alphas[start : start + n].tolist() == want_alphas
             assert e[s].tobytes() == want_e.tobytes()
+            start += n
+
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_sum_adds_in_rank_order(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(size=sum(counts))
+        rows = rng.normal(size=(sum(counts), 5))
+        e = _weighted_sum(alphas, rows, _blocks(np.array(counts)))
+        start = 0
+        for s, n in enumerate(counts):
+            want = alphas[start] * rows[start]
+            for j in range(start + 1, start + n):
+                want = want + alphas[j] * rows[j]
+            assert e[s].tobytes() == want.tobytes(), s
             start += n
 
     def test_normalize_weights_and_aggregate_share_its_bits(self, rng):

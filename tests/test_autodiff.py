@@ -199,21 +199,23 @@ class TestAggregateEvidence:
         d[3] = d[4] = q[2]  # two of the third sample's rows tie at its best score
         return {"q": q, "d": d}
 
+    def aggregate(self, q, d, differentiable):
+        """The op on q and d, given the scores d_j . q_b of their values."""
+        scores = np.einsum("ij,ij->i", d.value, np.repeat(q.value, self.COUNTS, axis=0))
+        return training._aggregate(q, d, self.COUNTS, scores, self.BETA, differentiable)
+
     def test_finite_differences_with_differentiable_weights(self, rng):
         arrays = self.arrays(rng)
         w = ad.const(rng.normal(size=arrays["q"].shape))
         check_grads(
-            lambda t: ad.sum_all(
-                ref.mul(training._aggregate(t["q"], t["d"], self.COUNTS, self.BETA, True), w)
-            ),
-            arrays,
+            lambda t: ad.sum_all(ref.mul(self.aggregate(t["q"], t["d"], True), w)), arrays
         )
 
     def test_detached_weights_are_constants(self, rng):
         arrays = self.arrays(rng)
         w = rng.normal(size=arrays["q"].shape)
         q, d = ad.param(arrays["q"]), ad.param(arrays["d"])
-        e = training._aggregate(q, d, self.COUNTS, self.BETA, False)
+        e = self.aggregate(q, d, False)
         assert all(parent is not q for parent in e.parents)
         ad.backward(ad.sum_all(ref.mul(e, ad.const(w))))
         assert q.grad is None

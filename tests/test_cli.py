@@ -597,7 +597,7 @@ class TestInvalidSettings:
 
 
 class TestCorruptHeader:
-    """One corrupted byte anywhere before a container's payload exits 0, 2 or 3, never a traceback."""
+    """A corrupted byte or field anywhere before a container's payload exits 0, 2 or 3, never a traceback."""
 
     @staticmethod
     @pytest.fixture(scope="class")
@@ -627,3 +627,51 @@ class TestCorruptHeader:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main(argv)
         assert rc in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_EMPTY_FILTER)
+
+    NON_OBJECTS = [[], 5, "x", None, True]
+
+    @staticmethod
+    def field_paths(value, path=()):
+        """The path of every field of a JSON header, nested ones too; of a list, its first item's."""
+        if isinstance(value, dict):
+            items = list(value.items())
+        else:
+            items = list(enumerate(value[:1])) if isinstance(value, list) else []
+        for key, child in items:
+            yield path + (key,)
+            yield from TestCorruptHeader.field_paths(child, path + (key,))
+
+    @pytest.mark.parametrize("value", NON_OBJECTS, ids=lambda v: json.dumps(v))
+    @pytest.mark.parametrize("command", ["query", "eval", "generate", "sweep"])
+    def test_non_object_field_exits_cleanly(self, workdir, files, command, value):
+        kind = "index" if command == "query" else "checkpoint"
+        raw = files[kind].read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:header_end])
+        escaped = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / kind
+            argv = {
+                "query": ["query", str(path), workdir["question"]],
+                "eval": ["eval", str(workdir["data"]), "--checkpoint", str(path)],
+                "generate": ["generate", "--checkpoint", str(path), "--corpus",
+                             str(workdir["corpus"]), "--question", workdir["question"]],
+                "sweep": ["sweep", str(workdir["data"]), "--checkpoint", str(path), "--param",
+                          "beta", "--grid", "0,1,2", "--out", str(Path(tmp) / "sweep")],
+            }[command]
+            for field in self.field_paths(header):
+                edited = json.loads(raw[12:header_end])
+                node = edited
+                for key in field[:-1]:
+                    node = node[key]
+                node[field[-1]] = value
+                blob = json.dumps(edited).encode()
+                path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        rc = cli.main(argv)
+                    except Exception as err:  # noqa: BLE001 - any escape is the failure reported
+                        rc = repr(err)
+                if rc not in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_EMPTY_FILTER):
+                    escaped.append((field, rc))
+        assert not escaped

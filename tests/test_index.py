@@ -115,7 +115,6 @@ class TestTopK:
                 np.testing.assert_allclose(
                     [r.score for r in got], scores[oracle], atol=1e-12
                 )
-                assert [r.rank for r in got] == list(range(1, k + 1))
 
     @staticmethod
     def assert_matches_oracle(q, idx, k):
@@ -127,7 +126,6 @@ class TestTopK:
         got = top_k(q, idx, k)
         assert [r.chunk_id for r in got] == idx.ids[oracle].tolist()
         assert [r.score for r in got] == scores[oracle].tolist()
-        assert [r.rank for r in got] == list(range(1, len(oracle) + 1))
 
     def test_tie_blocks_from_duplicate_rows(self, rng):
         # 30 rows drawn from 4 vectors: every score comes in a tie block, and
@@ -292,7 +290,7 @@ class TestThreshold:
         assert kept == [r for r in results if r.score >= 0.1]
 
     def test_boundary_inclusive(self):
-        r = [RetrievalResult(chunk_id=0, score=0.5, rank=1)]
+        r = [RetrievalResult(chunk_id=0, score=0.5)]
         assert filter_by_threshold(r, 0.5) == r
 
     def test_can_empty_out(self, rng):

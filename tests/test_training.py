@@ -161,9 +161,9 @@ def multi_hop_setup(overrides):
 
 def batched_evidence(preps, embed, config):
     """The training tape's (q, e) of a minibatch: one encode, then one selection."""
-    ids = np.concatenate([p.ids for p in preps])
-    rows = encode_rows(embed, ids, [n for p in preps for n in p.lengths])
-    return training._evidence(preps, rows, config)
+    token_ids, slots = training._layout(preps)
+    rows = encode_rows(embed, np.concatenate(token_ids), [len(ids) for ids in token_ids])
+    return training._evidence(preps, rows, slots, config)
 
 
 def minibatch_setup(overrides):
@@ -219,7 +219,17 @@ class TestTapeInferenceParity:
         _, e_tape = batched_evidence([prep], tensors["enc_embed"], config)
         assert abs(tape.l_nll - l_nll) <= 1e-12
         assert abs(tape.l_cons - l_cons) <= 1e-12
-        assert np.max(np.abs(e_tape.value[0] - agg.vector.values)) <= 1e-12
+        assert np.array_equal(e_tape.value[0], agg.vector.values)
+
+    @PARITY_CASES
+    def test_frozen_evidence_matches_retrieve(self, overrides, n_kept):
+        # The three samples share chunk texts, so they share rows of the one layout.
+        samples, config, vocab, params = minibatch_setup({**overrides, "freeze_encoder": True})
+        preps = training._prepare_dataset(samples, vocab, params, config)
+        for sample, prep in zip(samples, preps):
+            q, _, agg = inference_retrieve(sample, config, vocab, params)
+            assert np.array_equal(prep.frozen[0], q.values), sample.id
+            assert np.array_equal(prep.frozen[1], agg.vector.values), sample.id
 
     @PARITY_CASES
     def test_greedy_decode_matches_per_vector_reference(self, overrides, n_kept):
