@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import load_hotpotqa, read_corpus
+from .data import load_hotpotqa, open_utf8, read_corpus
 from .decoder import decode_greedy
 from .encoder import encode, init_encoder_params
 from .errors import AlignRagError, NonFiniteLoss, SchemaError
@@ -66,7 +66,7 @@ def resolve_config(
     """Merge defaults (or a base config), config file sections, and CLI flags."""
     values: dict = {}
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open_utf8(config_path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise SchemaError(f"config file {config_path}: expected a JSON object")

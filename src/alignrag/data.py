@@ -24,6 +24,7 @@ aggregate collapses onto answer-free chunks, while flat weighting
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,19 @@ class SyntheticSpec:
             raise InvalidSpec("multi-hop generation pairs samples; n_samples must be even")
 
 
+@contextmanager
+def open_utf8(path):
+    """Open path as UTF-8 text; bytes that are not UTF-8 raise a ParseError naming path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not valid UTF-8 ({err.reason})") from err
+
+
 def load_hotpotqa(path) -> list[QASample]:
     """Parse a HotpotQA-format JSON array into QASamples."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         text = fh.read()
     try:
         raw = json.loads(text)
@@ -199,7 +210,7 @@ def write_corpus(path, corpus: list[tuple[int, str]]) -> None:
 
 def read_corpus(path) -> list[tuple[int, str]]:
     corpus = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -181,7 +181,9 @@ def decoder_losses(
     over its own steps (row 0) and its consistency loss
     sqrt(||h_gen - e_b||^2 + eps) - sqrt(eps) (row 1), where h_gen is the
     unit-normalised w_pool projection of its mean state. Shorter answers
-    are padded; a padded step's state is computed but never read.
+    are padded; a padded step's state is computed but never read. The
+    node's hand-derived backward takes the (2, B) gradient and returns
+    the gradients of q, e and the decoder's tensors in one pass.
     """
     p = {name: params[name].value for name in _NAMES}
     q_val, e_val = q.value, e.value
@@ -223,7 +225,7 @@ def decoder_losses(
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff) + cons_eps)
     cons = dist - np.sqrt(cons_eps)
 
-    def backward_all(g):
+    def backward(g):
         g_nll, g_cons = g
         grads = {}
         # Consistency branch back to w_pool and the mean state.
@@ -272,23 +274,10 @@ def decoder_losses(
         d_init = d_h * (1.0 - states[0] * states[0])
         grads["w_init"] = d_init.T @ q_val
         grads["q"] = d_init @ p["w_init"]
-        return grads
+        return tuple(grads[name] for name in ("q", "e", *_NAMES))
 
-    memo: dict = {}
-
-    def grad_of(name):
-        def fn(g):
-            # backward() hands the same g to every parent; derive them all once.
-            if memo.get("g") is not g:
-                memo.clear()
-                memo.update(backward_all(g), g=g)
-            return memo[name]
-
-        return fn
-
-    names = ("q", "e", *_NAMES)
     return ad.Tensor(
         np.stack([nll, cons]),
         parents=(q, e, *(params[name] for name in _NAMES)),
-        grad_fns=tuple(grad_of(name) for name in names),
+        backward=backward,
     )

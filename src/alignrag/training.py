@@ -254,35 +254,29 @@ def _aggregate(q: ad.Tensor, d: ad.Tensor, counts, scores, beta: float, differen
     and scores their scores d_j . q_b. The forward is inference's weigh: alpha
     = softmax(beta * score) within each sample, e summed in rank order. Without
     differentiable weights alpha is a constant and q is not a parent.
-    The backward is derived by hand.
+    The backward is derived by hand; it takes the softmax's gradient once for
+    both q and d.
     """
     alpha, e = weigh(scores, counts, beta, d.value)
     seg = np.repeat(np.arange(len(counts)), counts)  # the sample of each picked row
     starts = np.cumsum(counts) - counts
 
-    def d_scores(g):
+    def backward(g):
+        grad_d = alpha[:, None] * g[seg]
+        if not differentiable:
+            return (grad_d,)
         # beta * dL/dz of the softmax within each sample's rows.
         d_alpha = np.einsum("ij,ij->i", g[seg], d.value)
-        return beta * alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[seg])
+        d_scores = beta * alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[seg])
+        grad_d += d_scores[:, None] * q.value[seg]
+        return np.add.reduceat(d_scores[:, None] * d.value, starts, axis=0), grad_d
 
-    def grad_d(g):
-        out = alpha[:, None] * g[seg]
-        if differentiable:
-            out += d_scores(g)[:, None] * q.value[seg]
-        return out
-
-    if not differentiable:
-        return ad.Tensor(e, parents=(d,), grad_fns=(grad_d,))
-
-    def grad_q(g):
-        return np.add.reduceat(d_scores(g)[:, None] * d.value, starts, axis=0)
-
-    return ad.Tensor(e, parents=(q, d), grad_fns=(grad_q, grad_d))
+    return ad.Tensor(e, parents=(q, d) if differentiable else (d,), backward=backward)
 
 
-def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config):
-    """Build the joint-loss graph of a minibatch: the batch means of l_nll and
-    l_cons, l_joint, and the (2, B) per-sample [l_nll; l_cons] they average.
+def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config) -> ad.Tensor:
+    """Build the loss graph of a minibatch; its root is the decoder node's
+    (2, B) per-sample [l_nll; l_cons].
 
     Unless every sample's evidence is fixed, the minibatch's distinct
     question and chunk texts are encoded as one batch.
@@ -294,12 +288,7 @@ def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], conf
         lengths = [len(ids) for ids in token_ids]
         rows = encode_rows(tensors["enc_embed"], np.concatenate(token_ids), lengths)
         q, e = _evidence(preps, rows, slots, config)
-    per_sample = decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
-    l_nll, l_cons = (
-        ad.scale(ad.sum_all(ad.row(per_sample, i)), 1.0 / len(preps)) for i in (0, 1)
-    )
-    l_joint = ad.add(l_nll, ad.scale(l_cons, config.lambda_))
-    return l_nll, l_cons, l_joint, per_sample
+    return decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
 
 
 def _wrap_params(params: dict[str, np.ndarray], freeze_encoder=False) -> dict[str, ad.Tensor]:
@@ -319,7 +308,7 @@ def joint_loss(samples, vocab: Vocabulary, params: dict[str, np.ndarray], config
     """Loss breakdown of one sample, or the list of breakdowns of a list of samples."""
     batch = samples if isinstance(samples, list) else [samples]
     tensors = _wrap_params(params, config.freeze_encoder)
-    *_, per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
+    per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
     breakdowns = _breakdowns(per_sample, config.lambda_)
     return breakdowns if isinstance(samples, list) else breakdowns[0]
 
@@ -340,10 +329,10 @@ def joint_loss_and_grads(
     """
     batch = samples if isinstance(samples, list) else [samples]
     tensors = _wrap_params(params, config.freeze_encoder)
-    l_nll, l_cons, l_joint, per_sample = _loss_tape(
-        _prepare_samples(batch, vocab, config), tensors, config
-    )
-    ad.backward({"nll": l_nll, "cons": l_cons, "joint": l_joint}[component])
+    per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
+    # A component is the batch mean of w . [l_nll; l_cons]: each column's seed is w / B.
+    w = {"nll": (1.0, 0.0), "cons": (0.0, 1.0), "joint": (1.0, config.lambda_)}[component]
+    ad.backward(per_sample, np.outer(w, np.full(len(batch), 1.0 / len(batch))))
     grads = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in tensors.items()

@@ -34,6 +34,8 @@ class Vocabulary:
     def __init__(self, tokens: list[str], hash_buckets: int = 64):
         if hash_buckets < 1:
             raise ValueError("hash_buckets must be positive")
+        if not all(isinstance(t, str) for t in tokens):
+            raise TypeError("content tokens must be strings")
         if len(set(tokens)) != len(tokens):
             raise ValueError("content tokens must be unique")
         self.tokens = list(tokens)

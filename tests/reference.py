@@ -1,8 +1,9 @@
 """Test-only references: tape ops, finite differences, losses and the per-sample paths.
 
 Nothing in alignrag calls these. They are the independent paths the
-tests compare the library against: tape ops that only reference graphs
-use, central finite differences, the plain-array NLL and consistency
+tests compare the library against: tape ops that only tests use (among
+them add, scale, row and sum_all, which reduce a tape to a scalar loss
+that the training tape seeds instead), central finite differences, the plain-array NLL and consistency
 losses, the per-sample tape graphs the batched training path replaced
 (the evidence of one sample at a time, and the decoder one op per
 step), the per-vector numpy decoder that greedy decoding replaced (one
@@ -27,7 +28,7 @@ from alignrag.training import sample_chunks
 from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID, tokenize
 
 # ---------------------------------------------------------------------------
-# Tape ops that only the reference graphs use.
+# Tape ops that only tests use, each with one backward(g) -> a gradient per parent.
 # ---------------------------------------------------------------------------
 
 
@@ -35,14 +36,32 @@ def detach(t):
     return ad.Tensor(t.value)
 
 
+def _unbroadcast(grad, shape):
+    """Reduce a gradient back to `shape` after scalar broadcasting."""
+    if grad.shape == tuple(shape):
+        return grad
+    if shape == ():
+        return np.sum(grad)
+    raise ValueError(f"cannot reduce grad of shape {grad.shape} to {shape}")
+
+
+def add(a, b):
+    return ad.Tensor(
+        a.value + b.value,
+        parents=(a, b),
+        backward=lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)),
+    )
+
+
+def scale(a, c: float):
+    return ad.Tensor(a.value * c, parents=(a,), backward=lambda g: (g * c,))
+
+
 def sub(a, b):
     return ad.Tensor(
         a.value - b.value,
         parents=(a, b),
-        grad_fns=(
-            lambda g: ad._unbroadcast(g, a.value.shape),
-            lambda g: ad._unbroadcast(-g, b.value.shape),
-        ),
+        backward=lambda g: (_unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)),
     )
 
 
@@ -50,27 +69,23 @@ def mul(a, b):
     return ad.Tensor(
         a.value * b.value,
         parents=(a, b),
-        grad_fns=(
-            lambda g: ad._unbroadcast(g * b.value, a.value.shape),
-            lambda g: ad._unbroadcast(g * a.value, b.value.shape),
+        backward=lambda g: (
+            _unbroadcast(g * b.value, a.value.shape),
+            _unbroadcast(g * a.value, b.value.shape),
         ),
     )
 
 
 def dot(a, b):
     return ad.Tensor(
-        a.value @ b.value,
-        parents=(a, b),
-        grad_fns=(lambda g: g * b.value, lambda g: g * a.value),
+        a.value @ b.value, parents=(a, b), backward=lambda g: (g * b.value, g * a.value)
     )
 
 
 def concat(a, b):
     na = a.value.shape[0]
     return ad.Tensor(
-        np.concatenate([a.value, b.value]),
-        parents=(a, b),
-        grad_fns=(lambda g: g[:na], lambda g: g[na:]),
+        np.concatenate([a.value, b.value]), parents=(a, b), backward=lambda g: (g[:na], g[na:])
     )
 
 
@@ -79,7 +94,7 @@ def matvec(m, v):
     return ad.Tensor(
         m.value @ v.value,
         parents=(m, v),
-        grad_fns=(lambda g: np.outer(g, v.value), lambda g: m.value.T @ g),
+        backward=lambda g: (np.outer(g, v.value), m.value.T @ g),
     )
 
 
@@ -88,55 +103,66 @@ def vecmat(v, m):
     return ad.Tensor(
         v.value @ m.value,
         parents=(v, m),
-        grad_fns=(lambda g: m.value @ g, lambda g: np.outer(v.value, g)),
+        backward=lambda g: (m.value @ g, np.outer(v.value, g)),
     )
 
 
 def stack(rows):
     """(B, n) matrix whose row i is the (n,) vector rows[i]."""
     return ad.Tensor(
-        np.stack([r.value for r in rows]),
-        parents=tuple(rows),
-        grad_fns=tuple((lambda g, i=i: g[i]) for i in range(len(rows))),
+        np.stack([r.value for r in rows]), parents=tuple(rows), backward=lambda g: tuple(g)
     )
 
 
+def row(m, i: int):
+    def backward(g):
+        out = np.zeros_like(m.value)
+        out[i] = g
+        return (out,)
+
+    return ad.Tensor(m.value[i], parents=(m,), backward=backward)
+
+
 def element(v, i: int):
-    def grad_v(g):
+    def backward(g):
         out = np.zeros_like(v.value)
         out[i] = g
-        return out
+        return (out,)
 
-    return ad.Tensor(v.value[i], parents=(v,), grad_fns=(grad_v,))
+    return ad.Tensor(v.value[i], parents=(v,), backward=backward)
+
+
+def sum_all(t):
+    return ad.Tensor(np.sum(t.value), parents=(t,), backward=lambda g: (g * np.ones_like(t.value),))
 
 
 def tanh(t):
     out = np.tanh(t.value)
-    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * (1.0 - out * out),))
+    return ad.Tensor(out, parents=(t,), backward=lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(t):
     out = 1.0 / (1.0 + np.exp(-t.value))
-    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * out * (1.0 - out),))
+    return ad.Tensor(out, parents=(t,), backward=lambda g: (g * out * (1.0 - out),))
 
 
 def exp(t):
     out = np.exp(t.value)
-    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g * out,))
+    return ad.Tensor(out, parents=(t,), backward=lambda g: (g * out,))
 
 
 def log(t):
-    return ad.Tensor(np.log(t.value), parents=(t,), grad_fns=(lambda g: g / t.value,))
+    return ad.Tensor(np.log(t.value), parents=(t,), backward=lambda g: (g / t.value,))
 
 
 def sqrt(t):
     out = np.sqrt(t.value)
-    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: g / (2.0 * out),))
+    return ad.Tensor(out, parents=(t,), backward=lambda g: (g / (2.0 * out),))
 
 
 def reciprocal(t):
     out = 1.0 / t.value
-    return ad.Tensor(out, parents=(t,), grad_fns=(lambda g: -g * out * out,))
+    return ad.Tensor(out, parents=(t,), backward=lambda g: (-g * out * out,))
 
 
 def l2_normalize(v):
@@ -148,7 +174,7 @@ def log_softmax(logits):
     # Max-subtraction for stability; the shift is a constant and cancels
     # analytically, so treating it as non-differentiable is exact.
     shifted = sub(logits, ad.const(np.max(logits.value)))
-    lse = log(ad.sum_all(exp(shifted)))
+    lse = log(sum_all(exp(shifted)))
     return sub(shifted, lse)
 
 
@@ -261,7 +287,7 @@ def evidence_tape(prep, embed, config):
     selects, weights and aggregates its evidence op by op. Returns (q, e).
     """
     rows = encode_rows(embed, np.concatenate(prep.token_ids), [len(ids) for ids in prep.token_ids])
-    q = ad.row(rows, 0)
+    q = row(rows, 0)
     n = len(prep.texts)
     index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
     k = n if config.oracle_evidence else config.top_k
@@ -269,7 +295,7 @@ def evidence_tape(prep, embed, config):
     if not picked:
         raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
     d = ad.gather_rows(rows, picked)
-    alphas = softmax(ad.scale(matvec(d, q), config.beta))
+    alphas = softmax(scale(matvec(d, q), config.beta))
     if not config.differentiable_weights:
         alphas = detach(alphas)
     return q, vecmat(alphas, d)
@@ -281,7 +307,7 @@ def per_chunk_evidence(sample, vocab, embed, config):
     def encode(text):
         ids = vocab.encode(text)
         rows = ad.gather_rows(embed, ids)
-        pooled = ad.scale(vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
+        pooled = scale(vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
         return l2_normalize(pooled)
 
     q = encode(sample.question)
@@ -293,16 +319,16 @@ def per_chunk_evidence(sample, vocab, embed, config):
     picked = [r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     scores = [dot(q, encoded[i]) for i in picked]
     m = max(float(s.value) for s in scores)
-    weights = [exp(ad.scale(sub(s, ad.const(m)), config.beta)) for s in scores]
+    weights = [exp(scale(sub(s, ad.const(m)), config.beta)) for s in scores]
     total = weights[0]
     for w in weights[1:]:
-        total = ad.add(total, w)
+        total = add(total, w)
     alphas = [mul(w, reciprocal(total)) for w in weights]
     if not config.differentiable_weights:
         alphas = [detach(a) for a in alphas]
     e = mul(alphas[0], encoded[picked[0]])
     for a, i in zip(alphas[1:], picked[1:]):
-        e = ad.add(e, mul(a, encoded[i]))
+        e = add(e, mul(a, encoded[i]))
     return q, e
 
 
@@ -310,11 +336,11 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
     """Reference for the batched decoder op: the per-sample, per-op loss graph it replaced."""
 
     def gru_step(x, h, t):
-        z = sigmoid(ad.add(ad.add(matvec(t["w_z"], x), matvec(t["u_z"], h)), t["b_z"]))
-        r = sigmoid(ad.add(ad.add(matvec(t["w_r"], x), matvec(t["u_r"], h)), t["b_r"]))
-        cand = tanh(ad.add(ad.add(matvec(t["w_h"], x), matvec(t["u_h"], mul(r, h))), t["b_h"]))
+        z = sigmoid(add(add(matvec(t["w_z"], x), matvec(t["u_z"], h)), t["b_z"]))
+        r = sigmoid(add(add(matvec(t["w_r"], x), matvec(t["u_r"], h)), t["b_r"]))
+        cand = tanh(add(add(matvec(t["w_h"], x), matvec(t["u_h"], mul(r, h))), t["b_h"]))
         one = ad.const(np.ones_like(h.value))
-        return ad.add(mul(sub(one, z), h), mul(z, cand))
+        return add(mul(sub(one, z), h), mul(z, cand))
 
     embed = tensors["enc_embed"]
     if config.freeze_encoder:
@@ -327,21 +353,21 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
     nll_terms = []
     state_sum = None
     for inp, tgt in zip(inputs, targets):
-        h = gru_step(ad.row(tensors["embed"], inp), h, tensors)
-        logits = ad.add(matvec(tensors["w_out"], concat(h, e)), tensors["b_out"])
-        nll_terms.append(ad.scale(element(log_softmax(logits), tgt), -1.0))
-        state_sum = h if state_sum is None else ad.add(state_sum, h)
+        h = gru_step(row(tensors["embed"], inp), h, tensors)
+        logits = add(matvec(tensors["w_out"], concat(h, e)), tensors["b_out"])
+        nll_terms.append(scale(element(log_softmax(logits), tgt), -1.0))
+        state_sum = h if state_sum is None else add(state_sum, h)
     l_nll = nll_terms[0]
     for term in nll_terms[1:]:
-        l_nll = ad.add(l_nll, term)
-    l_nll = ad.scale(l_nll, 1.0 / len(nll_terms))
-    h_gen = l2_normalize(matvec(tensors["w_pool"], ad.scale(state_sum, 1.0 / len(targets))))
+        l_nll = add(l_nll, term)
+    l_nll = scale(l_nll, 1.0 / len(nll_terms))
+    h_gen = l2_normalize(matvec(tensors["w_pool"], scale(state_sum, 1.0 / len(targets))))
     diff = sub(h_gen, e)
     l_cons = sub(
-        sqrt(ad.add(dot(diff, diff), ad.const(training.CONS_EPS))),
+        sqrt(add(dot(diff, diff), ad.const(training.CONS_EPS))),
         ad.const(math.sqrt(training.CONS_EPS)),
     )
-    return l_nll, l_cons, ad.add(l_nll, ad.scale(l_cons, config.lambda_))
+    return l_nll, l_cons, add(l_nll, scale(l_cons, config.lambda_))
 
 
 # ---------------------------------------------------------------------------

@@ -53,80 +53,80 @@ def vecs(rng):
 
 class TestElementwise:
     def test_add(self, vecs):
-        check_grads(lambda t: ad.sum_all(ref.mul(ad.add(t["a"], t["b"]), t["b"])), vecs)
+        check_grads(lambda t: ref.sum_all(ref.mul(ref.add(t["a"], t["b"]), t["b"])), vecs)
 
     def test_sub(self, vecs):
-        check_grads(lambda t: ad.sum_all(ref.mul(ref.sub(t["a"], t["b"]), t["a"])), vecs)
+        check_grads(lambda t: ref.sum_all(ref.mul(ref.sub(t["a"], t["b"]), t["a"])), vecs)
 
     def test_mul(self, vecs):
-        check_grads(lambda t: ad.sum_all(ref.mul(t["a"], t["b"])), vecs)
+        check_grads(lambda t: ref.sum_all(ref.mul(t["a"], t["b"])), vecs)
 
     def test_scalar_broadcast(self, rng):
         arrays = {"a": rng.normal(size=4), "s": np.array(0.7)}
-        check_grads(lambda t: ad.sum_all(ref.mul(ad.add(t["a"], t["s"]), t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ref.mul(t["s"], t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.mul(ref.add(t["a"], t["s"]), t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.mul(t["s"], t["a"])), arrays)
 
     def test_scale_and_neg(self, rng):
         arrays = {"a": rng.normal(size=5)}
-        check_grads(lambda t: ad.sum_all(ad.scale(t["a"], -2.5)), arrays)
-        check_grads(lambda t: ad.sum_all(ad.scale(t["a"], -1.0)), arrays)
+        check_grads(lambda t: ref.sum_all(ref.scale(t["a"], -2.5)), arrays)
+        check_grads(lambda t: ref.sum_all(ref.scale(t["a"], -1.0)), arrays)
 
     def test_tanh_sigmoid_exp(self, rng):
         arrays = {"a": rng.normal(size=5)}
-        check_grads(lambda t: ad.sum_all(ref.tanh(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ref.sigmoid(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ref.exp(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.sigmoid(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.exp(t["a"])), arrays)
 
     def test_log_sqrt_reciprocal(self, rng):
         arrays = {"a": rng.uniform(0.5, 2.0, size=5)}
-        check_grads(lambda t: ad.sum_all(ref.log(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ref.sqrt(t["a"])), arrays)
-        check_grads(lambda t: ad.sum_all(ref.reciprocal(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.log(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.sqrt(t["a"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.reciprocal(t["a"])), arrays)
 
 
 class TestLinear:
     def test_matvec(self, rng):
         arrays = {"m": rng.normal(size=(3, 4)), "v": rng.normal(size=4)}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ref.matvec(t["m"], t["v"]))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ref.matvec(t["m"], t["v"]))), arrays)
 
     def test_dot(self, vecs):
         check_grads(lambda t: ref.dot(t["a"], t["b"]), vecs)
 
     def test_concat(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=4)}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ref.concat(t["a"], t["b"]))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ref.concat(t["a"], t["b"]))), arrays)
 
     def test_gather_rows_with_repeats(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
         ids = [1, 3, 1, 1]  # repeated rows must accumulate
-        check_grads(lambda t: ad.sum_all(ref.tanh(ad.gather_rows(t["m"], ids))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ad.gather_rows(t["m"], ids))), arrays)
         # The same sums, in the same order, as a row-wise scatter-add.
         m, g = ad.param(arrays["m"]), rng.normal(size=(len(ids), 3))
-        ad.backward(ad.sum_all(ref.mul(ad.gather_rows(m, ids), ad.const(g))))
+        ad.backward(ref.sum_all(ref.mul(ad.gather_rows(m, ids), ad.const(g))))
         want = np.zeros_like(arrays["m"])
         np.add.at(want, ids, g)
         assert np.array_equal(m.grad, want)
 
     def test_row_and_element(self, rng):
         arrays = {"m": rng.normal(size=(3, 4))}
-        check_grads(lambda t: ad.sum_all(ref.exp(ad.row(t["m"], 2))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.exp(ref.row(t["m"], 2))), arrays)
         arrays = {"v": rng.normal(size=5)}
         check_grads(lambda t: ref.exp(ref.element(t["v"], 3)), arrays)
 
     def test_vecmat(self, rng):
         arrays = {"v": rng.normal(size=3), "m": rng.normal(size=(3, 4))}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ref.vecmat(t["v"], t["m"]))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ref.vecmat(t["v"], t["m"]))), arrays)
 
     def test_segment_mean_single_segment_and_sum_all(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
-        check_grads(lambda t: ad.sum_all(ref.tanh(ad.segment_mean(t["m"], [4]))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ad.segment_mean(t["m"], [4]))), arrays)
 
     def test_segment_mean_of_gathered_rows(self, rng):
         arrays = {"m": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3))}
         ids = [2, 0, 2, 4, 2, 1, 3]  # row 2 repeats within and across segments
         lengths = [1, 3, 1, 2]  # two one-token segments
         check_grads(
-            lambda t: ad.sum_all(
+            lambda t: ref.sum_all(
                 ref.mul(ad.segment_mean(ad.gather_rows(t["m"], ids), lengths), t["w"])
             ),
             arrays,
@@ -144,7 +144,7 @@ class TestLinear:
     def test_stack(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=3), "w": rng.normal(size=(3, 3))}
         check_grads(
-            lambda t: ad.sum_all(ref.mul(ref.tanh(ref.stack([t["a"], t["b"], t["a"]])), t["w"])),
+            lambda t: ref.sum_all(ref.mul(ref.tanh(ref.stack([t["a"], t["b"], t["a"]])), t["w"])),
             arrays,
         )
 
@@ -169,7 +169,7 @@ class TestDecoderLosses:
         # The loss sums a dozen log-softmax terms, so central-difference
         # round-off reaches 1e-6 of the smallest (1e-4) gradients: tol 1e-5.
         check_grads(
-            lambda t: ad.sum_all(
+            lambda t: ref.sum_all(
                 ref.mul(decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12), w)
             ),
             arrays,
@@ -208,7 +208,7 @@ class TestAggregateEvidence:
         arrays = self.arrays(rng)
         w = ad.const(rng.normal(size=arrays["q"].shape))
         check_grads(
-            lambda t: ad.sum_all(ref.mul(self.aggregate(t["q"], t["d"], True), w)), arrays
+            lambda t: ref.sum_all(ref.mul(self.aggregate(t["q"], t["d"], True), w)), arrays
         )
 
     def test_detached_weights_are_constants(self, rng):
@@ -217,7 +217,7 @@ class TestAggregateEvidence:
         q, d = ad.param(arrays["q"]), ad.param(arrays["d"])
         e = self.aggregate(q, d, False)
         assert all(parent is not q for parent in e.parents)
-        ad.backward(ad.sum_all(ref.mul(e, ad.const(w))))
+        ad.backward(ref.sum_all(ref.mul(e, ad.const(w))))
         assert q.grad is None
         # The weights at the inputs' values, from the numpy weighting of each sample's scores.
         weights = np.zeros((len(self.COUNTS), len(arrays["d"])))
@@ -242,7 +242,7 @@ class TestComposite:
 
     def test_l2_normalize_rows(self, rng):
         arrays = {"m": rng.normal(size=(3, 5)), "w": rng.normal(size=(3, 5))}
-        check_grads(lambda t: ad.sum_all(ref.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
+        check_grads(lambda t: ref.sum_all(ref.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
         got = ad.l2_normalize_rows(ad.const(arrays["m"])).value
         for row, v in zip(got, arrays["m"]):
             np.testing.assert_allclose(row, ref.l2_normalize(ad.const(v)).value, atol=1e-15)
@@ -275,6 +275,19 @@ class TestMechanics:
         with pytest.raises(ValueError):
             ad.backward(ref.tanh(t))
 
+    def test_seed_must_have_the_roots_shape(self, rng):
+        root = ref.tanh(ad.param(rng.normal(size=(2, 3))))
+        for shape in [(), (3,), (3, 2), (2, 3, 1)]:
+            with pytest.raises(ValueError):
+                ad.backward(root, np.ones(shape))
+
+    def test_seed_weighs_a_non_scalar_root(self, rng):
+        a, w = ad.param(rng.normal(size=(2, 3))), rng.normal(size=(2, 3))
+        ad.backward(ref.tanh(a), w)
+        seeded = a.grad
+        ad.backward(ref.sum_all(ref.mul(ref.tanh(a), ad.const(w))))
+        assert np.array_equal(seeded, a.grad)
+
     def test_detach_stops_gradient(self, rng):
         a = ad.param(rng.normal(size=3))
         loss = ref.dot(ref.detach(a), a)
@@ -287,11 +300,11 @@ class TestMechanics:
         assert not c.requires_grad
         p = ad.param(np.ones(3))
         assert p.requires_grad
-        assert ad.add(c, p).requires_grad
+        assert ref.add(c, p).requires_grad
 
     def test_grad_accumulation_reset_between_backwards(self, rng):
         a = ad.param(rng.normal(size=3))
-        loss = ad.sum_all(ref.mul(a, a))
+        loss = ref.sum_all(ref.mul(a, a))
         ad.backward(loss)
         first = a.grad.copy()
         ad.backward(loss)

@@ -504,6 +504,22 @@ class TestMalformedInput:
         assert rc == cli.EXIT_IO
         assert f"field '{field}' is not an array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reader", ["corpus", "dataset", "config"])
+    def test_invalid_utf8_is_io_error(self, workdir, reader, capsys):
+        root = workdir["root"]
+        source = {"corpus": workdir["corpus"], "dataset": workdir["data"], "config": workdir["config"]}
+        raw = source[reader].read_bytes()
+        at = raw.index(b'"') + 1  # inside the first string
+        bad = root / f"latin1_{reader}"
+        bad.write_bytes(raw[:at] + b"caf\xe9 " + raw[at:])
+        argv = {
+            "corpus": ["index", str(bad), "--out", str(root / "u.idx")],
+            "dataset": ["train", str(bad), "--out", str(root / "u.ckpt")],
+            "config": ["index", str(workdir["corpus"]), "--out", str(root / "u.idx"), "--config", str(bad)],
+        }[reader]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+
     def test_non_finite_checkpoint_payload_is_io_error(self, workdir, capsys):
         raw = bytearray(workdir["ckpt"].read_bytes())
         payload_start = 12 + int.from_bytes(raw[8:12], "little")
@@ -627,6 +643,22 @@ class TestCorruptHeader:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main(argv)
         assert rc in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_EMPTY_FILTER)
+
+    @pytest.mark.parametrize("kind", ["index", "checkpoint"])
+    def test_non_string_vocab_tokens_are_io_error(self, workdir, files, kind, capsys):
+        raw = files[kind].read_bytes()
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:header_end])
+        header["vocab"]["tokens"] = list(range(len(header["vocab"]["tokens"])))  # unique ints
+        blob = json.dumps(header).encode()
+        path = workdir["root"] / f"int_tokens.{kind}"
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[header_end:])
+        if kind == "index":
+            argv = ["query", str(path), workdir["question"]]
+        else:
+            argv = ["eval", str(workdir["data"]), "--checkpoint", str(path)]
+        assert cli.main(argv) == cli.EXIT_IO
+        assert "tokens must be strings" in capsys.readouterr().err
 
     NON_OBJECTS = [[], 5, "x", None, True]
 

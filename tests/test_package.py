@@ -1,5 +1,6 @@
 import ast
 import graphlib
+import importlib
 import os
 import subprocess
 import sys
@@ -120,3 +121,33 @@ def test_module_imports_form_no_cycle():
 
 def test_autodiff_imports_no_other_alignrag_module():
     assert import_graph()["autodiff"] == set()
+
+
+def benchmark_layers() -> dict[str, list[str]]:
+    """The benchmark's LAYERS: span name -> the "module:attribute[.method]" sites it wraps."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    [layers] = [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    ]
+    return {
+        ast.literal_eval(key): ast.literal_eval(value.elts[0])
+        for key, value in zip(layers.keys, layers.values)
+    }
+
+
+def resolves(site: str) -> bool:
+    module_name, path = site.split(":")
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    return callable(owner)
+
+
+def test_every_benchmark_layer_wraps_a_name_that_resolves():
+    # The benchmark skips a wrap target that is gone and reports its layer
+    # as not measured, so a deleted or renamed library name fails here.
+    layers = benchmark_layers()
+    assert layers
+    assert [name for name, sites in layers.items() if not any(map(resolves, sites))] == []

@@ -248,12 +248,12 @@ class TestTapeInferenceParity:
         prep = training._prepare(sample, vocab, config)
         got, want = {}, {}
         for out, evidence in (
-            (got, lambda embed: (ad.row(t, 0) for t in batched_evidence([prep], embed, config))),
+            (got, lambda embed: (ref.row(t, 0) for t in batched_evidence([prep], embed, config))),
             (want, lambda embed: ref.per_chunk_evidence(sample, vocab, embed, config)),
         ):
             embed = ad.param(params["enc_embed"])
             q, e = evidence(embed)
-            ad.backward(ad.add(ref.dot(q, u), ref.dot(e, v)))
+            ad.backward(ref.add(ref.dot(q, u), ref.dot(e, v)))
             out.update(q=q.value, e=e.value, grad=embed.grad)
         for name in ("q", "e", "grad"):
             assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
@@ -274,13 +274,13 @@ class TestTapeInferenceParity:
         embed = ad.param(params["enc_embed"])
         q, e = batched_evidence(preps, embed, config)
         ad.backward(
-            ad.add(ad.sum_all(ref.mul(q, ad.const(u))), ad.sum_all(ref.mul(e, ad.const(v))))
+            ref.add(ref.sum_all(ref.mul(q, ad.const(u))), ref.sum_all(ref.mul(e, ad.const(v))))
         )
         want_grad = np.zeros_like(params["enc_embed"])
         for b, prep in enumerate(preps):
             embed_b = ad.param(params["enc_embed"])
             q_b, e_b = ref.evidence_tape(prep, embed_b, config)
-            ad.backward(ad.add(ref.dot(q_b, ad.const(u[b])), ref.dot(e_b, ad.const(v[b]))))
+            ad.backward(ref.add(ref.dot(q_b, ad.const(u[b])), ref.dot(e_b, ad.const(v[b]))))
             assert np.max(np.abs(q.value[b] - q_b.value)) <= 1e-12, b
             assert np.max(np.abs(e.value[b] - e_b.value)) <= 1e-12, b
             want_grad += embed_b.grad
@@ -355,6 +355,47 @@ class TestBatchedDecoder:
         assert joint_loss([sample], vocab, params, config) == [single]
         for name in params:
             assert np.array_equal(single_grads[name], batched_grads[name]), name
+
+
+class TestTapeContract:
+    """A training step's tape: one gradient per parent from each node's one backward."""
+
+    @pytest.mark.parametrize(
+        "overrides, n_nodes",
+        [({}, 22), ({"freeze_encoder": True}, 17), ({"differentiable_weights": True}, 22)],
+        ids=["joint", "frozen", "differentiable_weights"],
+    )
+    def test_backward_gives_each_parent_its_shape_once_per_pass(self, overrides, n_nodes):
+        samples, config, vocab, params = minibatch_setup(overrides)
+        preps = training._prepare_dataset(samples, vocab, params, config)
+        tensors = training._wrap_params(params, config.freeze_encoder)
+        root = training._loss_tape(preps, tensors, config)
+        nodes, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+        assert len(nodes) == n_nodes
+        rng = np.random.default_rng(0)
+        calls = {}
+
+        def counted(key, fn):
+            def backward(g):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(g)
+
+            return backward
+
+        inner = [node for node in nodes.values() if node.parents]
+        assert any(len(node.parents) > 1 for node in inner)
+        for node in inner:
+            grads = node.backward(rng.normal(size=node.value.shape))
+            assert len(grads) == len(node.parents)
+            assert [np.shape(g) for g in grads] == [p.value.shape for p in node.parents]
+            node.backward = counted(id(node), node.backward)
+        ad.backward(root, rng.normal(size=root.value.shape))
+        assert calls == {id(node): 1 for node in inner}
 
 
 class TestAdam:
