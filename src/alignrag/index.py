@@ -1,12 +1,16 @@
 """Evidence store with exact cosine retrieval.
 
 The index is flat: an ascending chunk-id array, the chunk texts, and one
-unit-norm row per chunk in a single matrix. Every query scores every
-row, so results are exact and directly comparable to an exhaustive
-oracle. Selection does not sort the corpus: one partition finds the
-k-th best score, and only the rows at or above it, which include every
-row tied with it, are sorted. score_samples and select_evidence rank many
-samples at once, each against its own chunks, with a lone top_k's bits.
+unit-norm row per chunk in a single matrix. A row's score is one float64
+einsum whose bits depend on that row alone, so any subset of rows scores
+as it would in a scan of all of them. top_k scans a float32 copy of the
+matrix, whose scores lie within a proven bound of the float64 ones, and
+rescores in float64 only the rows that the bound cannot rule out: results
+equal an exhaustive scan's bit for bit. Selection does not sort the
+corpus: one partition finds the k-th best score, and only the rows at or
+above it, which include every row tied with it, are sorted. score_samples
+and select_evidence rank many samples at once, each against its own
+chunks, with a lone top_k's bits.
 """
 from __future__ import annotations
 
@@ -41,7 +45,13 @@ class EvidenceIndex:
     """Chunk ids in ascending order, their texts, and an (N, dim) row matrix.
 
     ``ids`` and ``matrix`` are read-only views; when the ids already ascend
-    they share the caller's arrays rather than copy them.
+    they share the caller's arrays rather than copy them. ``screen`` is a
+    read-only float32 copy of ``matrix`` that is never saved. For a unit query,
+    a row's float32 score differs from its float64 cosine by at most ``slack``
+    in any summation order, with or without FMA: each of the D + 2 float32
+    roundings errs by at most 2^-24 of the row's norm (Cauchy-Schwarz), the
+    float64 score by far less, and 2^-100 covers underflow. ``slack`` is inf
+    where float32 could overflow or a row is not finite: no row is ruled out.
     """
 
     def __init__(self, ids, texts: list[str], matrix: np.ndarray):
@@ -56,7 +66,12 @@ class EvidenceIndex:
         if repeated.size:
             raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
         self.ids, self.texts, self.matrix = ids.view(), list(texts), matrix.view()
-        self.ids.flags.writeable = self.matrix.flags.writeable = False
+        self.screen = matrix.astype(np.float32)
+        self.ids.flags.writeable = self.matrix.flags.writeable = self.screen.flags.writeable = False
+        max_norm = np.sqrt(np.einsum("ij,ij->i", matrix, matrix).max())
+        self.slack = float((self.dim + 4) * 2.0**-23 * max_norm + 2.0**-100)
+        if not max_norm + self.slack < np.finfo(np.float32).max:  # also NaN and inf rows
+            self.slack = np.inf
 
     @property
     def dim(self) -> int:
@@ -97,20 +112,38 @@ def build_index(corpus, vocab: Vocabulary, params: EncoderParams) -> EvidenceInd
 
 
 def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
-    """Exact top-k by score, ties broken by ascending chunk id."""
+    """Exact top-k by score, ties broken by ascending chunk id.
+
+    A row whose score is at or above the k-th best has a screen score at or above
+    the k-th best screen score less 2 slack, so only those rows are rescored.
+    """
     qv = values_of(q)
     if qv.shape[0] != index.dim:
         raise DimMismatch(f"query dim {qv.shape[0]} != index dim {index.dim}")
-    scores = cosine_scores(qv, index.matrix)
-    return [RetrievalResult(int(index.ids[i]), float(scores[i])) for i in best_k(scores, k)]
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rough = index.screen @ _unit_rows(qv)[0].astype(np.float32)
+    kth = len(rough) - min(k, len(rough))
+    cut = np.float64(np.partition(rough, kth)[kth]) - 2 * index.slack
+    cand = np.flatnonzero(~(rough < cut))  # a NaN cut keeps every row
+    scores = cosine_scores(qv, index.matrix[cand])
+    return [RetrievalResult(int(index.ids[cand[i]]), float(scores[i])) for i in best_k(scores, k)]
+
+
+def _unit_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q (..., D) with each row divided by its norm, near-zero rows as 0, and where they are."""
+    norms = np.array([np.linalg.norm(v) for v in q.reshape(-1, q.shape[-1])]).reshape(q.shape[:-1])
+    zero = norms < ZERO_NORM_EPS
+    return q / np.where(zero, np.inf, norms)[..., None], zero
 
 
 def cosine_scores(q: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Cosines (..., N) of query rows q (..., D) with their own unit rows matrix (..., N, D);
-    0 for a near-zero query. A stack of matrix-vector products gives lone queries' bits."""
-    norms = np.array([np.linalg.norm(v) for v in q.reshape(-1, q.shape[-1])]).reshape(q.shape[:-1])
-    zero = norms < ZERO_NORM_EPS
-    scores = (matrix @ (q / np.where(zero, 1.0, norms)[..., None])[..., None])[..., 0]
+    0 for a near-zero query. One einsum on C-ordered rows: a score's bits depend only on
+    its row and query, never on the other rows scored with it (BLAS matrix-vector
+    products give tail rows another kernel's bits)."""
+    unit, zero = _unit_rows(q)
+    scores = np.einsum("...nd,...d->...n", np.ascontiguousarray(matrix), unit)
     scores[zero] = 0.0
     return scores
 
@@ -198,7 +231,7 @@ def load_index(path) -> tuple[EvidenceIndex, Vocabulary, EncoderParams]:
         )
     if not np.all(np.isfinite(vectors)):
         raise CheckpointError(f"{path}: non-finite entry vector")
-    if np.any(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > UNIT_NORM_TOL):
+    if np.any(np.abs(np.sqrt(np.einsum("ij,ij->i", vectors, vectors)) - 1.0) > UNIT_NORM_TOL):
         raise CheckpointError(f"{path}: entry vector with non-unit norm")
     if not all(type(i) is int and -(2**63) <= i < 2**63 for i in ids):
         raise CheckpointError(f"{path}: chunk id that is not a 64-bit integer")

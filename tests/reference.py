@@ -377,10 +377,10 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
 
 
 def rank(q, index, k):
-    """One query's exact top-k (chunk id, score) pairs: one matrix-vector product,
-    then a partition and a stable sort of the candidates at or above the k-th score."""
+    """One query's exact top-k (chunk id, score) pairs: one einsum over every row, then
+    a partition and a stable sort of the candidates at or above the k-th score."""
     qn = np.linalg.norm(q)
-    scores = np.zeros(len(index)) if qn < ZERO_NORM_EPS else index.matrix @ (q / qn)
+    scores = np.zeros(len(index)) if qn < ZERO_NORM_EPS else np.einsum("nd,d->n", index.matrix, q / qn)
     neg = -scores
     kth = min(k, len(index)) - 1
     candidates = (neg <= np.partition(neg, kth)[kth]).nonzero()[0]

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrag.encoder import encode
+from alignrag.encoder import EncoderParams, encode
 from alignrag.errors import (
     CheckpointError,
     DimMismatch,
@@ -14,7 +16,9 @@ from alignrag.errors import (
 from alignrag.index import (
     EvidenceIndex,
     RetrievalResult,
+    best_k,
     build_index,
+    cosine_scores,
     filter_by_threshold,
     load_index,
     save_index,
@@ -36,6 +40,22 @@ CORPUS = [
 @pytest.fixture
 def index(tiny_vocab, tiny_encoder):
     return build_index(CORPUS, tiny_vocab, tiny_encoder)
+
+
+def exhaustive(q, idx, k):
+    """The rule top_k must equal: one einsum over every row in C order, then best_k."""
+    qn = np.linalg.norm(q)
+    rows = np.ascontiguousarray(idx.matrix)
+    scores = np.einsum("nd,d->n", rows, q / qn) if qn >= 1e-12 else np.zeros(len(idx))
+    order = best_k(scores, k)
+    return idx.ids[order].tolist(), scores[order]
+
+
+def assert_screened_exact(q, idx, k):
+    got = top_k(q, idx, k)
+    ids, scores = exhaustive(q, idx, k)
+    assert [r.chunk_id for r in got] == ids
+    np.testing.assert_array_equal([r.score for r in got], scores)
 
 
 def random_index(rng, n, dim):
@@ -119,9 +139,9 @@ class TestTopK:
     @staticmethod
     def assert_matches_oracle(q, idx, k):
         """top_k against a full sort by (-score, position) on the exact cosine
-        scores; positions ascend with chunk ids."""
+        scores, one einsum over every row; positions ascend with chunk ids."""
         qn = np.linalg.norm(q)
-        scores = idx.matrix @ (q / qn) if qn >= 1e-12 else np.zeros(len(idx))
+        scores = np.einsum("nd,d->n", idx.matrix, q / qn) if qn >= 1e-12 else np.zeros(len(idx))
         oracle = sorted(range(len(idx)), key=lambda i: (-scores[i], i))[:k]
         got = top_k(q, idx, k)
         assert [r.chunk_id for r in got] == idx.ids[oracle].tolist()
@@ -230,6 +250,194 @@ class TestTopK:
         results = top_k(q, index, 1)
         assert results[0].chunk_id == 0
         assert results[0].score == pytest.approx(1.0)
+
+
+class TestRowStableScores:
+    """A row's score depends only on the row and the query, so identical rows tie
+    exactly, whatever the corpus size, and a lone row scores as it does in a corpus."""
+
+    def test_duplicate_of_the_last_row_ties_with_its_twins(self):
+        # A BLAS matrix-vector product scored the N mod 4 tail rows with another
+        # kernel, so chunk 29 beat its identical twins 5, 6, 7, ... by one ulp.
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=(3, 64))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        rows = base[rng.integers(0, 3, size=30)]
+        q = rng.normal(size=64)
+        got = top_k(q, EvidenceIndex(range(30), ["x"] * 30, rows), 30)
+        assert [r.chunk_id for r in got[:10]] == [5, 6, 7, 10, 12, 15, 20, 22, 23, 29]
+        assert len({r.score for r in got[:10]}) == 1
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 64, 100])
+    def test_identical_rows_tie_at_every_size(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in range(1, 71):
+            base = rng.normal(size=(3, dim))
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+            pick = rng.integers(0, 3, size=n)
+            qs = rng.normal(size=(2, dim))
+            idx = EvidenceIndex(range(n), ["x"] * n, base[pick])
+            # Two questions over the same chunks form one stacked (2, n, dim) group.
+            rows = np.vstack([qs[0], base[pick], qs[1]])
+            slots = [np.arange(n + 1), np.r_[n + 1, 1 : n + 1]]
+            batched = select_evidence(score_samples(rows, slots), None, -np.inf)
+            for q, (positions, scores) in zip(qs, batched, strict=True):
+                alone = [top_k(q, EvidenceIndex([0], ["x"], row[None]), 1)[0].score for row in base]
+                want = sorted(range(n), key=lambda i: (-alone[pick[i]], i))
+                want = [(i, alone[pick[i]]) for i in want]
+                assert [(r.chunk_id, r.score) for r in top_k(q, idx, n)] == want
+                assert list(zip(positions, scores)) == want
+
+
+class TestScreen:
+    """top_k scans a float32 copy of the rows and rescores in float64 only the rows
+    the bound cannot rule out: it must equal the exhaustive rule on every input."""
+
+    def test_near_ties_inside_the_slack(self, rng):
+        dim, n = 16, 2000
+        v = rng.normal(size=dim)
+        rows = v + 1e-7 * rng.normal(size=(n, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        idx = EvidenceIndex(range(n), ["x"] * n, rows)
+        exact = rows @ (v / np.linalg.norm(v))
+        rough = idx.screen @ (v / np.linalg.norm(v)).astype(np.float32)
+        # float32 alone would rank these rows in another order.
+        assert np.argsort(-exact, kind="stable")[:5].tolist() != np.argsort(-rough, kind="stable")[:5].tolist()
+        for q in (v, v + 1e-6 * rng.normal(size=dim), rng.normal(size=dim)):
+            for k in (1, 5, 50, n):
+                assert_screened_exact(q, idx, k)
+
+    def test_tie_blocks_straddling_k_at_ten_thousand_rows(self, rng):
+        n, dim = 10_000, 32
+        base = rng.normal(size=(6, dim))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        idx = EvidenceIndex(range(n), ["x"] * n, base[rng.integers(0, 6, size=n)])
+        q = base[0] + 0.5 * rng.normal(size=dim)
+        _, scores = exhaustive(q, idx, n)
+        ends = np.flatnonzero(np.diff(scores)) + 1  # where each tie block ends
+        assert len(ends) == 5 and ends[0] > 100
+        for k in (1, 2, ends[0] - 1, ends[0], ends[0] + 1, ends[1] + 3, n - 1):
+            assert_screened_exact(q, idx, int(k))
+
+    def test_zero_query_keeps_every_row(self, rng):
+        idx, _ = random_index(rng, 5000, 8)
+        got = top_k(np.zeros(8), idx, 7)
+        assert [(r.chunk_id, r.score) for r in got] == [(i, 0.0) for i in range(7)]
+        assert_screened_exact(np.zeros(8), idx, 7)
+
+    def test_k_bounds(self, rng):
+        idx, _ = random_index(rng, 40, 5)
+        q = rng.normal(size=5)
+        for k in (40, 41, 10**6):
+            assert len(top_k(q, idx, k)) == 40
+            assert_screened_exact(q, idx, k)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                top_k(q, idx, k)
+
+    def test_non_unit_rows(self, rng):
+        # Row norms from 1e-45 (below float32's smallest subnormal) to 1e30.
+        n, dim = 3000, 12
+        rows = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-45, 30, size=(n, 1))
+        rows[::7] = rows[3]  # exact duplicates of one row
+        idx = EvidenceIndex(range(n), ["x"] * n, rows)
+        assert np.isfinite(idx.slack)
+        for q in (rows[3], rng.normal(size=dim), 1e-200 * rng.normal(size=dim)):
+            for k in (1, 4, 600):
+                assert_screened_exact(q, idx, k)
+
+    @pytest.mark.parametrize(
+        "big",
+        [[3e38, 3e38, -3.3e38, 0, 0, 0], [1e39, 0, 0, 0, 0, 1], [1e300, -1e300, 0, 0, 0, 0]],
+        ids=["partial-sum-overflows", "beyond-float32", "beyond-float32-squares"],
+    )
+    def test_rows_beyond_float32_range_keep_every_row(self, rng, big):
+        # Row 5's float32 partial sums overflow to inf for q = (1, 1, 1, 0, 0, 0), yet row 9
+        # scores higher: a screen that trusted the overflowed score would drop row 9.
+        rows = rng.normal(size=(200, 6))
+        rows[5], rows[9] = big, [2.9e38, 0, 0, 0, 0, 0]
+        idx = EvidenceIndex(range(200), ["x"] * 200, rows)
+        assert idx.slack == np.inf
+        for q in (np.r_[1.0, 1.0, 1.0, 0, 0, 0], rows[5], rng.normal(size=6)):
+            for k in (1, 3, 200):
+                assert_screened_exact(q, idx, k)
+
+    def test_non_finite_rows_keep_every_row(self, rng):
+        rows = rng.normal(size=(50, 4))
+        rows[[3, 17]] = [[np.inf, 0, 0, 0], [0, -np.inf, 0, 0]]
+        rows[30] = np.nan
+        idx = EvidenceIndex(range(50), ["x"] * 50, rows)
+        assert idx.slack == np.inf
+        for q in (rng.normal(size=4), np.zeros(4)):
+            for k in (1, 2, 5, 49):
+                assert_screened_exact(q, idx, k)
+
+    def test_fortran_ordered_and_strided_rows(self, rng):
+        rows = rng.normal(size=(300, 24))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        plain = EvidenceIndex(range(300), ["x"] * 300, rows)
+        q = rng.normal(size=24)
+        for layout in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+            idx = EvidenceIndex(range(300), ["x"] * 300, layout)
+            assert not idx.matrix.flags.c_contiguous
+            assert cosine_scores(q, idx.matrix).tobytes() == cosine_scores(q, rows).tobytes()
+            for k in (1, 10, 300):
+                assert top_k(q, idx, k) == top_k(q, plain, k)
+                assert_screened_exact(q, idx, k)
+
+    def test_screen_is_a_read_only_float32_copy(self, rng):
+        idx, vecs = random_index(rng, 20, 4)
+        assert idx.screen.dtype == np.float32 and not np.shares_memory(idx.screen, vecs)
+        np.testing.assert_array_equal(idx.screen, vecs.astype(np.float32))
+        with pytest.raises(ValueError, match="read-only"):
+            idx.screen[0, 0] = 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 12),
+        k=st.integers(1, 310),
+        n_distinct=st.integers(1, 5),
+        jitter=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5]),
+        scale=st.sampled_from(["unit", "mixed", "tiny", "huge"]),
+        seed=st.integers(0, 2**32 - 1),
+        query=st.sampled_from(["row", "random", "zero"]),
+    )
+    def test_equals_exhaustive_property(self, n, dim, k, n_distinct, jitter, scale, seed, query):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n_distinct, dim))
+        rows = base[rng.integers(0, n_distinct, size=n)] + jitter * rng.normal(size=(n, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows *= {
+            "unit": 1.0,
+            "mixed": 10.0 ** rng.uniform(-3, 3, size=(n, 1)),
+            "tiny": 1e-42,
+            "huge": 1e37,
+        }[scale]
+        ids = rng.choice(10 * n + 10, size=n, replace=False)
+        idx = EvidenceIndex(ids, [f"c{i}" for i in ids], rows)
+        q = {"row": base[0], "random": rng.normal(size=dim), "zero": np.zeros(dim)}[query]
+        assert_screened_exact(q, idx, k)
+
+
+class TestScoreParity:
+    """Scores moved from a BLAS matrix-vector product to one einsum, which sums in
+    another order; the two agree within 1e-13."""
+
+    @pytest.mark.parametrize("n,dim", [(1, 1), (7, 3), (30, 64), (48, 64), (1000, 64), (333, 100)])
+    def test_einsum_scores_match_blas_within_tolerance(self, rng, n, dim):
+        rows = rng.normal(size=(n, dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        qs = rng.normal(size=(5, dim))
+        units = qs / np.linalg.norm(qs, axis=1, keepdims=True)
+        blas = (rows @ units.T).T
+        stacked = (np.broadcast_to(rows, (5, n, dim)) @ units[..., None])[..., 0]
+        np.testing.assert_allclose(cosine_scores(qs, np.broadcast_to(rows, (5, n, dim))), stacked, rtol=0, atol=1e-13)
+        idx = EvidenceIndex(range(n), ["x"] * n, rows)
+        for q, want in zip(qs, blas):
+            np.testing.assert_allclose(cosine_scores(q, rows), want, rtol=0, atol=1e-13)
+            got = top_k(q, idx, n)
+            np.testing.assert_allclose([r.score for r in got], want[[r.chunk_id for r in got]], rtol=0, atol=1e-13)
 
 
 class TestBatchedRanking:
@@ -341,6 +549,17 @@ class TestPersistence:
         loaded, _, params = load_index(path)
         np.testing.assert_array_equal(loaded.matrix, index.matrix)
         np.testing.assert_array_equal(params.embedding, tiny_encoder.embedding)
+
+    def test_saved_bytes_are_pinned(self, tmp_path, tiny_vocab):
+        # The float32 screen is never written: the file holds the header, vectors and
+        # embedding only, with the bytes every earlier version wrote.
+        rows = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+        idx = EvidenceIndex([7, 2, 5], ["seven", "two", "five"], rows)
+        embedding = np.arange(2 * tiny_vocab.size).reshape(-1, 2) / 8.0
+        path = tmp_path / "idx.bin"
+        save_index(path, idx, tiny_vocab, EncoderParams(embedding=embedding))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a8b6943f48c7228cf676b79e6e6540bb0ce4b948a426c09563973ab4b3152fa1"
 
     def test_wrong_kind_rejected(self, tmp_path, index, tiny_vocab, tiny_encoder):
         from alignrag.serialization import read_container
