@@ -1,6 +1,6 @@
 """Tour of the answer-quality metrics and their pinned conventions.
 
-Shows where EM, token F1, corpus BLEU-4, and ROUGE-L agree and disagree,
+Shows where EM, token F1, BLEU-4, and ROUGE-L agree and disagree,
 and the normalization rules that make the numbers reproducible. Run:
 python3 demos/04_metrics_tour.py
 """
@@ -42,7 +42,8 @@ def main() -> None:
         print(f"  {pred:<18} {gold:<16} {em:>3} {f1:>6.3f} {bl:>6.3f} {rl:>6.3f}   <- {note}")
 
     print("\n== Pinned BLEU-4 conventions ==")
-    print("  * corpus-level, uniform 1/4 weights over 1..4-gram precisions")
+    print("  * uniform 1/4 weights over 1..4-gram precisions; a report averages")
+    print("    the per-sample BLEU-4 of its pairs")
     print("  * orders with no candidate n-grams contribute a neutral factor")
     print("    (so short answers are not zeroed out):")
     print(f"      bleu(['x'], ['x']) = {bleu(['x'], ['x']):.3f}")
@@ -51,7 +52,7 @@ def main() -> None:
     print("  * brevity penalty exp(1 - r/c) for short candidates:")
     print(f"      bleu(['a b c d'], ['a b c d e']) = {bleu(['a b c d'], ['a b c d e']):.6f}")
 
-    print("\n== Corpus report (0..100 scale) ==")
+    print("\n== Corpus report: means of per-sample values (0..100 scale) ==")
     preds = [p for p, _, _ in PAIRS]
     golds = [g for _, g, _ in PAIRS]
     m = score_corpus(preds, golds)

@@ -8,8 +8,9 @@ layer at EVERY step, so the constraint is continuous rather than
 prefix-only. decode_rows decodes greedily on (B, 1, ·) rows, where each
 matmul is a stack of one-row products, so every row gets the bits of
 decoding it alone. decoder_losses, the training tape's decoder op, runs
-the stages on a teacher-forced (B, ·) minibatch with a hand-derived
-backward pass. Weights are read by name from one flat parameter mapping.
+the stages on a teacher-forced (B, ·) minibatch, from the evidence
+node's stacked q and e, with a hand-derived backward pass. Weights are
+read by name from one flat parameter mapping.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ DEFAULT_MAX_LEN = 32
 # Rows decode_rows decodes together, bounding a step's (rows, V) logits; no bit depends on it.
 _DECODE_BLOCK = 128
 
-# The decoder's tensors, in the order of decoder_losses' parents after q and e.
+# The decoder's tensors, in the order of decoder_losses' parents after qe.
 _NAMES = (
     "embed", "w_init", "w_z", "w_r", "w_h", "u_z", "u_r", "u_h",
     "b_z", "b_r", "b_h", "w_out", "b_out", "w_pool",
@@ -170,23 +171,24 @@ def decode_rows(q, e, params: Mapping[str, np.ndarray], max_len: int = DEFAULT_M
 
 
 def decoder_losses(
-    params: Mapping[str, ad.Tensor], q: ad.Tensor, e: ad.Tensor, answers, cons_eps: float
+    params: Mapping[str, ad.Tensor], qe: ad.Tensor, answers, cons_eps: float
 ) -> ad.Tensor:
     """Teacher-forced decoding of a minibatch as one tape node.
 
-    Row b of q and e (both (B, D)) belongs to the answer token ids
-    answers[b]: the decoder starts from tanh(W_init q_b), reads BOS then
-    the answer and predicts the answer then EOS, with e_b fused into every
-    step's output layer. The (2, B) result holds each sample's mean NLL
-    over its own steps (row 0) and its consistency loss
-    sqrt(||h_gen - e_b||^2 + eps) - sqrt(eps) (row 1), where h_gen is the
-    unit-normalised w_pool projection of its mean state. Shorter answers
-    are padded; a padded step's state is computed but never read. The
-    node's hand-derived backward takes the (2, B) gradient and returns
-    the gradients of q, e and the decoder's tensors in one pass.
+    qe (2, B, D) stacks the query rows q and the evidence rows e; row b of
+    each belongs to the answer token ids answers[b]: the decoder starts
+    from tanh(W_init q_b), reads BOS then the answer and predicts the
+    answer then EOS, with e_b fused into every step's output layer. The
+    (2, B) result holds each sample's mean NLL over its own steps (row 0)
+    and its consistency loss sqrt(||h_gen - e_b||^2 + eps) - sqrt(eps)
+    (row 1), where h_gen is the unit-normalised w_pool projection of its
+    mean state. Shorter answers are padded; a padded step's state is
+    computed but never read. The node's hand-derived backward takes the
+    (2, B) gradient and returns the gradients of qe and the decoder's
+    tensors in one pass.
     """
     p = {name: params[name].value for name in _NAMES}
-    q_val, e_val = q.value, e.value
+    q_val, e_val = qe.value
     lengths = np.array([len(a) + 1 for a in answers])
     batch, steps = len(answers), int(lengths.max())
     inputs = np.full((steps, batch), PAD_ID)  # time-major
@@ -274,10 +276,8 @@ def decoder_losses(
         d_init = d_h * (1.0 - states[0] * states[0])
         grads["w_init"] = d_init.T @ q_val
         grads["q"] = d_init @ p["w_init"]
-        return tuple(grads[name] for name in ("q", "e", *_NAMES))
+        return (np.stack([grads.pop("q"), grads.pop("e")]), *(grads[name] for name in _NAMES))
 
     return ad.Tensor(
-        np.stack([nll, cons]),
-        parents=(q, e, *(params[name] for name in _NAMES)),
-        backward=backward,
+        np.stack([nll, cons]), parents=(qe, *(params[name] for name in _NAMES)), backward=backward
     )

@@ -3,7 +3,9 @@
 One embedding table, learned with the decoder, mean pooling over token
 embeddings, then L2 normalization. The same parameters encode every
 piece of text, so query and evidence vectors live in a single
-comparable space. encode_rows is the one encode; encode_all runs it on a fixed table.
+comparable space. encode_rows is the one encode, in plain numpy: build_index,
+encode, evaluate and training all run it, and training's evidence node
+derives its backward by hand.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from itertools import islice
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DegenerateNorm, EmptyInput
 from .vocab import Vocabulary
 
@@ -69,30 +70,36 @@ def init_encoder_params(vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0) 
     return EncoderParams(embedding=table)
 
 
-def encode_rows(embed: ad.Tensor, ids, lengths) -> ad.Tensor:
-    """The batched encode: row i mean-pools segment i's embedding rows, L2-normalized.
+def encode_rows(table: np.ndarray, ids, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The batched encode: row i mean-pools segment i's rows of table, L2-normalized.
 
     ids holds every segment's token ids, concatenated; lengths[i] is segment
-    i's count. A pooled row of near-zero norm raises DegenerateNorm.
+    i's count. Returns the (n, D) unit rows and the (n, 1) norms they were
+    divided by. A pooled row of near-zero norm raises DegenerateNorm.
     """
-    pooled = ad.segment_mean(ad.gather_rows(embed, ids), lengths)
-    smallest = np.einsum("ij,ij->i", pooled.value, pooled.value).min()
-    if smallest < NORM_EPS**2:
-        raise DegenerateNorm(f"pre-normalization norm {smallest**0.5} below {NORM_EPS}")
-    return ad.l2_normalize_rows(pooled)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(ids):
+        raise ValueError("segments must be non-empty and cover every id exactly once")
+    starts = np.cumsum(lengths) - lengths
+    pooled = np.add.reduceat(table[np.asarray(ids, dtype=np.intp)], starts, axis=0)
+    pooled /= lengths[:, None]
+    squares = np.einsum("ij,ij->i", pooled, pooled)
+    if squares.min() < NORM_EPS**2:
+        raise DegenerateNorm(f"pre-normalization norm {squares.min() ** 0.5} below {NORM_EPS}")
+    norms = np.sqrt(squares)[:, None]
+    return pooled / norms, norms
 
 
 def encode_all(table: np.ndarray, id_arrays) -> np.ndarray:
-    """encode_rows on a fixed table: one row per non-empty id array of the iterable.
+    """The unit rows of encode_rows: one row per non-empty id array of the iterable.
 
     The arrays are read and encoded _ENCODE_BLOCK at a time, so an iterator
     that tokenizes lazily never holds more than one block of them.
     """
-    embed = ad.const(table)
     id_arrays = iter(id_arrays)
     rows = []
     while block := list(islice(id_arrays, _ENCODE_BLOCK)):
-        rows.append(encode_rows(embed, np.concatenate(block), [len(ids) for ids in block]).value)
+        rows.append(encode_rows(table, np.concatenate(block), [len(ids) for ids in block])[0])
     return np.concatenate(rows)
 
 

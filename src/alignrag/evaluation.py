@@ -28,7 +28,7 @@ from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, score_samples, top_k
 from .metrics import MetricReport, mean_report, sample_scores
 from .training import Checkpoint, TrainConfig, _layout, _prepare_samples, _select
-from .vocab import tokenize
+from .vocab import N_RESERVED
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -63,13 +63,14 @@ def checkpoint_fingerprint(ckpt: Checkpoint) -> str:
     return h.hexdigest()[:16]
 
 
-def _support_rate(pred_tokens: list[str], retained_tokens: list[frozenset[str]]) -> float | None:
-    """Fraction of generated content tokens present in the retained chunks' token sets."""
-    content = [t for t in pred_tokens if not t.startswith("<")]
+def _support_rate(token_ids: list[int], n_content: int, retained_ids) -> float | None:
+    """Fraction of the generated content-token ids (neither reserved nor a hash bucket,
+    so below N_RESERVED + n_content) found in the token ids of a retained chunk:
+    retained_ids holds one container of ids per chunk (evaluate passes frozensets)."""
+    content = [t for t in token_ids if N_RESERVED <= t < N_RESERVED + n_content]
     if not content:
         return None
-    evidence_tokens = set().union(*retained_tokens)
-    return sum(1 for t in content if t in evidence_tokens) / len(content)
+    return sum(1 for t in content if any(t in ids for ids in retained_ids)) / len(content)
 
 
 def retrieve(
@@ -98,7 +99,8 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
     ids, slots = _layout(preps)
     rows = encode_all(ckpt.params["enc_embed"], ids)
     scored = score_samples(rows, slots)
-    chunk_tokens = functools.cache(lambda text: frozenset(tokenize(text)))
+    # Each retained chunk's token-id set, built once per call: membership is then O(1).
+    id_set = functools.cache(lambda row: frozenset(ids[row].tolist()))
     fingerprint, reports = checkpoint_fingerprint(ckpt), []
     for config in (dataclasses.replace(base, **o) for o in overrides):
         kept, (q_at, picked, counts, kept_scores) = _select(scored, slots, config)
@@ -108,15 +110,15 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
             tokens, h_gen = decode_rows(rows[q_at], e, ckpt.params, config.max_len)
             decoded = zip(tokens, h_gen, e, np.split(alphas, np.cumsum(counts)[:-1]))
         records = []
-        for prep, (positions, scores) in zip(preps, kept):
+        for prep, at, (positions, scores) in zip(preps, slots, kept):
             # A retrieval failure generates "", which is scored like any prediction.
             pred, retrieved, consistency, rate = "", [], None, None
             if positions:
                 token_ids, h, e_row, weights = next(decoded)
                 pred = ckpt.vocab.decode(token_ids)
                 consistency = float(np.linalg.norm(h - e_row))
-                retained = [chunk_tokens(prep.texts[i]) for i in positions]
-                rate = _support_rate(tokenize(pred), retained)
+                retained = [id_set(at[1 + i]) for i in positions]
+                rate = _support_rate(token_ids, ckpt.vocab.n_content, retained)
                 retrieved = [
                     {"chunk_id": i, "title": prep.titles[i], "score": s, "alpha": a}
                     for i, s, a in zip(positions, scores, weights.tolist())

@@ -152,13 +152,15 @@ def best_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the min(k, N) best scores in each row of scores (..., N), best first.
 
     Every score at or above the k-th best is a candidate, so a tie block that straddles
-    k is kept whole; a stable sort on -score breaks ties by ascending position.
+    k is kept whole; a stable sort on -score breaks ties by ascending position. NaN
+    scores rank last.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     neg = -scores.reshape(-1, scores.shape[-1])
     kth = min(k, neg.shape[1]) - 1
-    candidates = np.flatnonzero(neg <= np.partition(neg, kth, axis=1)[:, kth : kth + 1])
+    # NaN-safe: NaNs partition last, and a NaN k-th best makes every score a candidate.
+    candidates = np.flatnonzero(~(neg > np.partition(neg, kth, axis=1)[:, kth : kth + 1]))
     rows, cols = np.divmod(candidates, neg.shape[1])  # a 1-D nonzero: 2-D is slower at 1e5
     order = np.lexsort((neg[rows, cols], rows))  # by row, then -score; lexsort is stable
     first = np.searchsorted(rows, np.arange(len(neg)))
@@ -229,8 +231,6 @@ def load_index(path) -> tuple[EvidenceIndex, Vocabulary, EncoderParams]:
         raise CheckpointError(
             f"{path}: embedding {embedding.shape} does not fit vocabulary {vocab.size} x dim {shape[1]}"
         )
-    if not np.all(np.isfinite(vectors)):
-        raise CheckpointError(f"{path}: non-finite entry vector")
     if np.any(np.abs(np.sqrt(np.einsum("ij,ij->i", vectors, vectors)) - 1.0) > UNIT_NORM_TOL):
         raise CheckpointError(f"{path}: entry vector with non-unit norm")
     if not all(type(i) is int and -(2**63) <= i < 2**63 for i in ids):

@@ -1,12 +1,14 @@
-"""Answer-quality metrics: EM, token F1, corpus BLEU-4, ROUGE-L.
+"""Answer-quality metrics: EM, token F1, BLEU-4, ROUGE-L.
 
 Pinned variants so reported numbers are reproducible:
   * EM and F1 use SQuAD-style normalization (lowercase, strip
     punctuation, drop the articles a/an/the, collapse whitespace).
   * BLEU and ROUGE-L normalize text the same way but KEEP articles.
-  * BLEU-4 is corpus level with fixed 1/4 weights, add-one smoothing for
-    n >= 2 when the clipped match count is zero, and orders with no
-    candidate n-grams contributing a factor of 1.
+  * bleu() pools n-gram counts over the pairs it is given, with fixed 1/4
+    weights, add-one smoothing for n >= 2 when the clipped match count
+    is zero, and orders with no candidate n-grams contributing a factor
+    of 1. Reports (score_corpus, evaluate) give the average per-sample
+    BLEU-4: bleu() of each pair alone, averaged over samples.
   * ROUGE-L is the LCS F-measure with beta = 1, averaged over samples.
 """
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
 
 
 def bleu(preds: list[str], refs: list[str]) -> float:
-    """Corpus-level BLEU-4 with add-one smoothing for higher orders."""
+    """BLEU-4 of the pairs' pooled n-gram counts, with add-one smoothing for higher orders."""
     if len(preds) != len(refs):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(refs)} references")
     if not preds:

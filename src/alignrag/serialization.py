@@ -50,7 +50,8 @@ def write_container(path, kind: str, header: dict, arrays: dict[str, np.ndarray]
 
 
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and arrays of a container; CheckpointError if it is malformed or truncated."""
+    """Header and arrays of a container; CheckpointError if it is malformed or truncated,
+    or if an array holds a NaN or an infinity."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -96,5 +97,7 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     arrays = {}
     for name, shape, start in manifest:
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=start)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: non-finite values in array {name!r}")
         arrays[name] = arr.reshape(shape)
     return header, arrays

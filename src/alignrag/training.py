@@ -2,9 +2,11 @@
 
 The objective combines teacher-forced negative log-likelihood with the
 consistency penalty ||h_gen - e||_2 (smoothed at the origin), weighted
-by lambda. Evidence takes evaluate's steps (_layout, _select, then weigh),
-so the tape's e is retrieve's e bit for bit. Gradients come from the tape
-in autodiff.py and are checked against central finite differences.
+by lambda. A minibatch's tape has two ops, each with a hand-derived
+backward: the evidence node, which encodes with encode_rows and then takes
+evaluate's steps (_layout, _select, then weigh), so the tape's e is
+retrieve's e bit for bit, and decoder.decoder_losses. Gradients are
+checked against central finite differences.
 """
 from __future__ import annotations
 
@@ -133,7 +135,7 @@ def init_params(vocab_size: int, dim: int, hidden: int, seed: int) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Tape forward: retrieval -> weights -> aggregate -> teacher-forced decode.
+# Tape forward: encode -> retrieval -> weights -> aggregate -> teacher-forced decode.
 # ---------------------------------------------------------------------------
 
 
@@ -162,9 +164,9 @@ class _PreparedSample:
     titles: list[str]  # chunk titles and texts, in sample_chunks order
     texts: list[str]
     answer_ids: list[int] | None  # None when prepared without the answer
-    # (q, e) values, set by _prepare_dataset when the encoder is frozen and they
-    # therefore depend on no trainable parameter.
-    frozen: tuple[np.ndarray, np.ndarray] | None = None
+    # The (2, D) stacked q and e, set by _prepare_dataset when the encoder is
+    # frozen and they therefore depend on no trainable parameter.
+    frozen: np.ndarray | None = None
 
 
 def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=True):
@@ -236,59 +238,78 @@ def _select(scored, slots, config: TrainConfig):
     return kept, ([at[0] for at, *_ in live], picked, counts, [s for *_, ss in live for s in ss])
 
 
-def _evidence(preps: list[_PreparedSample], rows: ad.Tensor, slots, config: TrainConfig):
-    """Select a minibatch's evidence as evaluate does, then weigh and aggregate it in one
-    tape node; rows and slots come from _layout. Returns q (B, D) and e (B, D)."""
-    kept, (q_at, picked, counts, scores) = _select(score_samples(rows.value, slots), slots, config)
+def _weighed(preps: list[_PreparedSample], rows: np.ndarray, slots, config: TrainConfig):
+    """evaluate's selection and weighing of a layout's encoded rows (rows and slots as
+    _layout lays them out): the positions in rows of each sample's question and kept
+    chunks, each sample's kept count, the alphas and the aggregates e (B, D). A sample
+    that keeps nothing raises EmptyScores."""
+    kept, (q_at, picked, counts, scores) = _select(score_samples(rows, slots), slots, config)
     for prep, (positions, _) in zip(preps, kept):
         if not positions:
             raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
-    q, d = ad.gather_rows(rows, q_at), ad.gather_rows(rows, picked)
-    return q, _aggregate(q, d, counts, scores, config.beta, config.differentiable_weights)
+    alpha, e = weigh(scores, counts, config.beta, rows[picked])
+    return q_at, picked, counts, alpha, e
 
 
-def _aggregate(q: ad.Tensor, d: ad.Tensor, counts, scores, beta: float, differentiable: bool):
-    """e_b = sum_j alpha_j d_j over sample b's picked rows, as one tape node.
+def _evidence(preps: list[_PreparedSample], embed: ad.Tensor, config: TrainConfig) -> ad.Tensor:
+    """A minibatch's query rows q and evidence aggregates e, stacked (2, B, D), as one
+    tape node whose parent is the encoder's table.
 
-    d (P, D) holds every sample's picked rows, counts[b] of them for sample b,
-    and scores their scores d_j . q_b. The forward is inference's weigh: alpha
-    = softmax(beta * score) within each sample, e summed in rank order. Without
-    differentiable weights alpha is a constant and q is not a parent.
-    The backward is derived by hand; it takes the softmax's gradient once for
-    both q and d.
+    The forward encodes each distinct question and chunk text once, then
+    selects and weighs as evaluate does. The backward is derived by hand:
+    e_b = sum_j alpha_j d_j back to q and the picked rows d (through alpha
+    only with differentiable weights, taking the softmax's gradient once for
+    both), then the row gathers, the L2 normalization, the mean pool and the
+    table-row gather.
     """
-    alpha, e = weigh(scores, counts, beta, d.value)
+    token_ids, slots = _layout(preps)
+    ids, lengths = np.concatenate(token_ids), [len(t) for t in token_ids]
+    rows, norms = encode_rows(embed.value, ids, lengths)
+    q_at, picked, counts, alpha, e = _weighed(preps, rows, slots, config)
+    q, d = rows[q_at], rows[picked]
     seg = np.repeat(np.arange(len(counts)), counts)  # the sample of each picked row
     starts = np.cumsum(counts) - counts
 
     def backward(g):
-        grad_d = alpha[:, None] * g[seg]
-        if not differentiable:
-            return (grad_d,)
-        # beta * dL/dz of the softmax within each sample's rows.
-        d_alpha = np.einsum("ij,ij->i", g[seg], d.value)
-        d_scores = beta * alpha * (d_alpha - np.add.reduceat(alpha * d_alpha, starts)[seg])
-        grad_d += d_scores[:, None] * q.value[seg]
-        return np.add.reduceat(d_scores[:, None] * d.value, starts, axis=0), grad_d
+        g_q, g_e = g
+        grad_d = alpha[:, None] * g_e[seg]
+        if config.differentiable_weights:
+            # beta * dL/dz of the softmax within each sample's rows.
+            d_alpha = np.einsum("ij,ij->i", g_e[seg], d)
+            d_alpha -= np.add.reduceat(alpha * d_alpha, starts)[seg]
+            d_scores = config.beta * alpha * d_alpha
+            grad_d += d_scores[:, None] * q[seg]
+            g_q = g_q + np.add.reduceat(d_scores[:, None] * d, starts, axis=0)
+        g_rows = _scatter_rows(rows.shape, q_at, g_q) + _scatter_rows(rows.shape, picked, grad_d)
+        g_pooled = (g_rows - rows * np.sum(g_rows * rows, axis=1, keepdims=True)) / norms
+        g_tokens = np.repeat(g_pooled / np.asarray(lengths, dtype=np.float64)[:, None], lengths, axis=0)
+        return (_scatter_rows(embed.value.shape, ids, g_tokens),)
 
-    return ad.Tensor(e, parents=(q, d) if differentiable else (d,), backward=backward)
+    return ad.Tensor(np.stack([q, e]), parents=(embed,), backward=backward)
+
+
+def _scatter_rows(shape, at, g) -> np.ndarray:
+    """Zeros of shape with row g[i] added into row at[i], in order: the backward of a
+    row gather. np.add.at on the flattened table is several times faster than on
+    rows, and adds the same terms in the same order."""
+    out = np.zeros(shape)
+    flat = (np.asarray(at, dtype=np.intp)[:, None] * shape[1] + np.arange(shape[1])).reshape(-1)
+    np.add.at(out.reshape(-1), flat, g.reshape(-1))
+    return out
 
 
 def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config) -> ad.Tensor:
     """Build the loss graph of a minibatch; its root is the decoder node's
     (2, B) per-sample [l_nll; l_cons].
 
-    Unless every sample's evidence is fixed, the minibatch's distinct
-    question and chunk texts are encoded as one batch.
+    Its q and e are a constant when every sample's are fixed, and the
+    evidence node otherwise.
     """
     if all(p.frozen is not None for p in preps):
-        q, e = (ad.const(np.stack(v)) for v in zip(*(p.frozen for p in preps)))
+        qe = ad.const(np.stack([p.frozen for p in preps], axis=1))
     else:
-        token_ids, slots = _layout(preps)
-        lengths = [len(ids) for ids in token_ids]
-        rows = encode_rows(tensors["enc_embed"], np.concatenate(token_ids), lengths)
-        q, e = _evidence(preps, rows, slots, config)
-    return decoder_losses(tensors, q, e, [p.answer_ids for p in preps], CONS_EPS)
+        qe = _evidence(preps, tensors["enc_embed"], config)
+    return decoder_losses(tensors, qe, [p.answer_ids for p in preps], CONS_EPS)
 
 
 def _wrap_params(params: dict[str, np.ndarray], freeze_encoder=False) -> dict[str, ad.Tensor]:
@@ -412,16 +433,16 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
 
     train() never passes a frozen enc_embed to Adam, so q and e are constants
     of each sample: each distinct text is encoded once, and the selection the
-    joint path runs records them from those rows, for every sample at once.
+    evidence node runs records them from those rows, for every sample at once.
     """
     prepared = _prepare_samples(dataset, vocab, config)
     if not config.freeze_encoder:
         return prepared
     token_ids, slots = _layout(prepared)
-    rows = ad.const(encode_all(params["enc_embed"], token_ids))
-    q, e = _evidence(prepared, rows, slots, config)
-    for prep, q_row, e_row in zip(prepared, q.value, e.value):
-        prep.frozen = (q_row, e_row)
+    rows = encode_all(params["enc_embed"], token_ids)
+    q_at, _, _, _, e = _weighed(prepared, rows, slots, config)
+    for prep, qe in zip(prepared, np.stack([rows[q_at], e], axis=1)):
+        prep.frozen = qe
     return prepared
 
 
@@ -500,7 +521,4 @@ def load_checkpoint(path) -> Checkpoint:
     shapes["enc_embed"] = (vocab.size, config.dim)
     if {name: arr.shape for name, arr in arrays.items()} != shapes:
         raise CheckpointError(f"{path}: arrays do not fit the stored config and vocabulary")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: non-finite values in array {name!r}")
     return Checkpoint(config=config, vocab=vocab, params=arrays, log=log)

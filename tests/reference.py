@@ -3,10 +3,12 @@
 Nothing in alignrag calls these. They are the independent paths the
 tests compare the library against: tape ops that only tests use (among
 them add, scale, row and sum_all, which reduce a tape to a scalar loss
-that the training tape seeds instead), central finite differences, the plain-array NLL and consistency
-losses, the per-sample tape graphs the batched training path replaced
-(the evidence of one sample at a time, and the decoder one op per
-step), the per-vector numpy decoder that greedy decoding replaced (one
+that the training tape seeds instead, and gather_rows, segment_mean and
+l2_normalize_rows, the encoder ops that training's evidence node
+differentiates by hand), central finite differences, the plain-array NLL
+and consistency losses, the per-sample tape graphs the batched training
+path replaced (the evidence of one sample at a time, and the decoder one
+op per step), the per-vector numpy decoder that greedy decoding replaced (one
 full softmax per step), and the per-sample evaluation that batched
 evaluation replaced (one index, one ranking, one softmax and one
 one-row greedy decode per sample), whose reports the batched path must
@@ -20,12 +22,12 @@ from alignrag import autodiff as ad
 from alignrag import evaluation, training
 from alignrag.decoder import fused_gates, generation_repr, gru_cell, output_logits
 from alignrag.decoder import initial_state as decoder_initial_state
-from alignrag.encoder import encode_all, encode_rows, values_of
+from alignrag.encoder import encode_all, values_of
 from alignrag.errors import DimMismatch, EmptyScores, InvalidTokenId, LengthMismatch
 from alignrag.index import ZERO_NORM_EPS, EvidenceIndex, filter_by_threshold, top_k
 from alignrag.metrics import MetricReport, bleu, exact_match, rouge_l, token_f1
 from alignrag.training import sample_chunks
-from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID, tokenize
+from alignrag.vocab import BOS_ID, EOS_ID, PAD_ID
 
 # ---------------------------------------------------------------------------
 # Tape ops that only tests use, each with one backward(g) -> a gradient per parent.
@@ -111,6 +113,43 @@ def stack(rows):
     """(B, n) matrix whose row i is the (n,) vector rows[i]."""
     return ad.Tensor(
         np.stack([r.value for r in rows]), parents=tuple(rows), backward=lambda g: tuple(g)
+    )
+
+
+def gather_rows(m, ids):
+    """Rows ids of m; the backward scatter-adds each gradient row into its table row."""
+    ids = np.asarray(ids, dtype=np.intp)
+
+    def backward(g):
+        out = np.zeros_like(m.value)
+        np.add.at(out, ids, g)
+        return (out,)
+
+    return ad.Tensor(m.value[ids], parents=(m,), backward=backward)
+
+
+def segment_mean(m, lengths):
+    """Mean of each run of consecutive rows: segment i is the next lengths[i] rows of m."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.size == 0 or lengths.min() < 1 or lengths.sum() != m.value.shape[0]:
+        raise ValueError("segments must be non-empty and cover every row exactly once")
+    starts = np.cumsum(lengths) - lengths
+    counts = lengths[:, None].astype(np.float64)
+    return ad.Tensor(
+        np.add.reduceat(m.value, starts, axis=0) / counts,
+        parents=(m,),
+        backward=lambda g: (np.repeat(g / counts, lengths, axis=0),),
+    )
+
+
+def l2_normalize_rows(m):
+    """Each row of a (k, n) matrix divided by its Euclidean norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", m.value, m.value))[:, None]
+    out = m.value / norms
+    return ad.Tensor(
+        out,
+        parents=(m,),
+        backward=lambda g: ((g - out * np.sum(g * out, axis=1, keepdims=True)) / norms,),
     )
 
 
@@ -281,12 +320,13 @@ def decode_greedy(q, e, params, max_len):
 
 
 def evidence_tape(prep, embed, config):
-    """Reference for the batched evidence of a minibatch: one sample's graph.
+    """Reference for the evidence node of a minibatch: one sample's graph.
 
     Encodes the prepared sample's question and chunks as one batch, then
     selects, weights and aggregates its evidence op by op. Returns (q, e).
     """
-    rows = encode_rows(embed, np.concatenate(prep.token_ids), [len(ids) for ids in prep.token_ids])
+    ids, lengths = np.concatenate(prep.token_ids), [len(ids) for ids in prep.token_ids]
+    rows = l2_normalize_rows(segment_mean(gather_rows(embed, ids), lengths))
     q = row(rows, 0)
     n = len(prep.texts)
     index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
@@ -294,7 +334,7 @@ def evidence_tape(prep, embed, config):
     picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     if not picked:
         raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
-    d = ad.gather_rows(rows, picked)
+    d = gather_rows(rows, picked)
     alphas = softmax(scale(matvec(d, q), config.beta))
     if not config.differentiable_weights:
         alphas = detach(alphas)
@@ -306,7 +346,7 @@ def per_chunk_evidence(sample, vocab, embed, config):
 
     def encode(text):
         ids = vocab.encode(text)
-        rows = ad.gather_rows(embed, ids)
+        rows = gather_rows(embed, ids)
         pooled = scale(vecmat(ad.const(np.ones(len(ids))), rows), 1.0 / len(ids))
         return l2_normalize(pooled)
 
@@ -433,8 +473,8 @@ def evaluate(dataset, ckpt, config=None):
             tokens, h_gen = decode_row(rows[0], e, ckpt.params, config.max_len)
             pred = vocab.decode(tokens)
             consistency = float(np.linalg.norm(h_gen - e))
-            chunk_tokens = [frozenset(tokenize(prep.texts[c])) for c, _ in kept]
-            rate = evaluation._support_rate(tokenize(pred), chunk_tokens)
+            retained = [prep.token_ids[1 + c] for c, _ in kept]
+            rate = evaluation._support_rate(tokens, vocab.n_content, retained)
             retrieved = [
                 {"chunk_id": c, "title": prep.titles[c], "score": s, "alpha": a}
                 for (c, s), a in zip(kept, alphas)

@@ -1,16 +1,19 @@
-"""Finite-difference validation of every tape primitive.
+"""Finite-difference validation of every tape op.
 
 Each op's analytic gradient is compared against an independent central
-finite-difference oracle at every input coordinate. The ops only the
-test references use live in tests/reference.py and are checked here too.
+finite-difference oracle at every input coordinate: the library's two
+(training's evidence node and decoder_losses), and the ops that only
+the test references use, which live in tests/reference.py.
 """
 import numpy as np
 import pytest
 
 from alignrag import autodiff as ad
 from alignrag import training
-from alignrag.aggregation import weigh
+from alignrag.data import QASample
 from alignrag.decoder import decoder_losses, decoder_shapes
+from alignrag.encoder import encode_all
+from alignrag.vocab import Vocabulary
 import reference as ref
 
 H = 1e-6
@@ -99,13 +102,11 @@ class TestLinear:
     def test_gather_rows_with_repeats(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
         ids = [1, 3, 1, 1]  # repeated rows must accumulate
-        check_grads(lambda t: ref.sum_all(ref.tanh(ad.gather_rows(t["m"], ids))), arrays)
-        # The same sums, in the same order, as a row-wise scatter-add.
+        check_grads(lambda t: ref.sum_all(ref.tanh(ref.gather_rows(t["m"], ids))), arrays)
+        # The evidence node's flattened scatter adds the same terms, in the same order.
         m, g = ad.param(arrays["m"]), rng.normal(size=(len(ids), 3))
-        ad.backward(ref.sum_all(ref.mul(ad.gather_rows(m, ids), ad.const(g))))
-        want = np.zeros_like(arrays["m"])
-        np.add.at(want, ids, g)
-        assert np.array_equal(m.grad, want)
+        ad.backward(ref.sum_all(ref.mul(ref.gather_rows(m, ids), ad.const(g))))
+        assert np.array_equal(training._scatter_rows(m.value.shape, ids, g), m.grad)
 
     def test_row_and_element(self, rng):
         arrays = {"m": rng.normal(size=(3, 4))}
@@ -119,7 +120,7 @@ class TestLinear:
 
     def test_segment_mean_single_segment_and_sum_all(self, rng):
         arrays = {"m": rng.normal(size=(4, 3))}
-        check_grads(lambda t: ref.sum_all(ref.tanh(ad.segment_mean(t["m"], [4]))), arrays)
+        check_grads(lambda t: ref.sum_all(ref.tanh(ref.segment_mean(t["m"], [4]))), arrays)
 
     def test_segment_mean_of_gathered_rows(self, rng):
         arrays = {"m": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3))}
@@ -127,11 +128,11 @@ class TestLinear:
         lengths = [1, 3, 1, 2]  # two one-token segments
         check_grads(
             lambda t: ref.sum_all(
-                ref.mul(ad.segment_mean(ad.gather_rows(t["m"], ids), lengths), t["w"])
+                ref.mul(ref.segment_mean(ref.gather_rows(t["m"], ids), lengths), t["w"])
             ),
             arrays,
         )
-        got = ad.segment_mean(ad.const(arrays["m"][ids]), lengths).value
+        got = ref.segment_mean(ad.const(arrays["m"][ids]), lengths).value
         bounds = np.cumsum([0] + lengths)
         expected = [arrays["m"][ids[a:b]].mean(axis=0) for a, b in zip(bounds, bounds[1:])]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
@@ -139,7 +140,7 @@ class TestLinear:
     @pytest.mark.parametrize("lengths", [[2, 0, 2], [2, 1], [2, 3], []])
     def test_segment_mean_rejects_bad_segments(self, lengths):
         with pytest.raises(ValueError):
-            ad.segment_mean(ad.const(np.ones((4, 2))), lengths)
+            ref.segment_mean(ad.const(np.ones((4, 2))), lengths)
 
     def test_stack(self, rng):
         arrays = {"a": rng.normal(size=3), "b": rng.normal(size=3), "w": rng.normal(size=(3, 3))}
@@ -150,16 +151,16 @@ class TestLinear:
 
 
 class TestDecoderLosses:
-    """The one coarse op: teacher-forced decoding of a padded minibatch."""
+    """The decoder's op: teacher-forced decoding of a padded minibatch."""
 
     V, D, HID = 9, 3, 2
     # Lengths 1, 2 and 4: the batch is padded to 5 steps and masked.
     ANSWERS = [[5], [6, 4], [7, 8, 5, 6]]
 
     def arrays(self, rng):
-        """Every decoder parameter, plus q and e, drawn at random (biases too)."""
+        """Every decoder parameter, plus the stacked q and e, drawn at random (biases too)."""
         shapes = decoder_shapes(self.V, self.D, self.HID)
-        shapes["q"] = shapes["e"] = (len(self.ANSWERS), self.D)
+        shapes["qe"] = (2, len(self.ANSWERS), self.D)
         return {name: rng.normal(scale=0.5, size=shape) for name, shape in shapes.items()}
 
     def test_finite_differences_for_every_input(self, rng):
@@ -170,7 +171,7 @@ class TestDecoderLosses:
         # round-off reaches 1e-6 of the smallest (1e-4) gradients: tol 1e-5.
         check_grads(
             lambda t: ref.sum_all(
-                ref.mul(decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12), w)
+                ref.mul(decoder_losses(t, t["qe"], self.ANSWERS, 1e-12), w)
             ),
             arrays,
             tol=1e-5,
@@ -179,60 +180,76 @@ class TestDecoderLosses:
     def test_padding_changes_no_sample(self, rng):
         arrays = self.arrays(rng)
         t = {name: ad.const(arr) for name, arr in arrays.items()}
-        batched = decoder_losses(t, t["q"], t["e"], self.ANSWERS, 1e-12).value
+        batched = decoder_losses(t, t["qe"], self.ANSWERS, 1e-12).value
         for b, answer in enumerate(self.ANSWERS):
-            q, e = (ad.const(arrays[n][b : b + 1]) for n in ("q", "e"))
-            alone = decoder_losses(t, q, e, [answer], 1e-12).value[:, 0]
+            qe = ad.const(arrays["qe"][:, b : b + 1])
+            alone = decoder_losses(t, qe, [answer], 1e-12).value[:, 0]
             np.testing.assert_allclose(batched[:, b], alone, rtol=0, atol=1e-15)
 
 
-class TestAggregateEvidence:
-    """training's evidence op: each sample's softmax weights and aggregate in one node."""
+class TestEvidenceNode:
+    """training's evidence node: a minibatch's q and e from the encoder's table, in one node."""
 
-    COUNTS = [1, 2, 5]  # samples with 1, 2 and 5 picked rows
-    BETA = 1.7
+    CONTEXT = [
+        ("brick", ["the brick is red"]),
+        ("sky", ["the sky is blue", "it is high"]),
+        ("grass", ["the grass is green"]),
+        ("sea", ["the sea is wide and deep"]),
+        ("ocean", ["the sea is wide and deep"]),  # one row: two chunks that tie exactly
+    ]
 
-    def arrays(self, rng):
-        # Unit-scale scores, so no sample's weights saturate.
-        q = rng.normal(scale=0.5, size=(len(self.COUNTS), 3))
-        d = rng.normal(scale=0.5, size=(sum(self.COUNTS), 3))
-        d[3] = d[4] = q[2]  # two of the third sample's rows tie at its best score
-        return {"q": q, "d": d}
-
-    def aggregate(self, q, d, differentiable):
-        """The op on q and d, given the scores d_j . q_b of their values."""
-        scores = np.einsum("ij,ij->i", d.value, np.repeat(q.value, self.COUNTS, axis=0))
-        return training._aggregate(q, d, self.COUNTS, scores, self.BETA, differentiable)
+    def setup(self, rng, differentiable):
+        """Three samples that share chunk rows; sample b asks a chunk's text, so one
+        row is both a question and a chunk. The third has one chunk, the others keep 3."""
+        samples = [
+            QASample("a", "how wide and deep is the sea", "wide", self.CONTEXT, [("sea", 0)]),
+            QASample("b", "the sky is blue it is high", "blue", self.CONTEXT, [("sky", 0)]),
+            QASample("c", "where is the grass", "green", self.CONTEXT[2:3], [("grass", 0)]),
+        ]
+        config = training.TrainConfig(
+            dim=4, top_k=3, beta=1.7, include_title=False, differentiable_weights=differentiable
+        )
+        vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=2)
+        preps = training._prepare_samples(samples, vocab, config)
+        table = rng.normal(scale=0.5, size=(vocab.size, config.dim))
+        token_ids, slots = training._layout(preps)
+        q_at, picked, *_ = training._weighed(preps, encode_all(table, token_ids), slots, config)
+        assert len(set(picked)) < len(picked) and set(q_at) & set(picked)
+        return preps, config, table, rng.normal(size=(2, len(samples), config.dim))
 
     def test_finite_differences_with_differentiable_weights(self, rng):
-        arrays = self.arrays(rng)
-        w = ad.const(rng.normal(size=arrays["q"].shape))
+        preps, config, table, w = self.setup(rng, True)
         check_grads(
-            lambda t: ref.sum_all(ref.mul(self.aggregate(t["q"], t["d"], True), w)), arrays
+            lambda t: ref.sum_all(
+                ref.mul(training._evidence(preps, t["enc_embed"], config), ad.const(w))
+            ),
+            {"enc_embed": table},
         )
 
-    def test_detached_weights_are_constants(self, rng):
-        arrays = self.arrays(rng)
-        w = rng.normal(size=arrays["q"].shape)
-        q, d = ad.param(arrays["q"]), ad.param(arrays["d"])
-        e = self.aggregate(q, d, False)
-        assert all(parent is not q for parent in e.parents)
-        ad.backward(ref.sum_all(ref.mul(e, ad.const(w))))
-        assert q.grad is None
-        # The weights at the inputs' values, from the numpy weighting of each sample's scores.
-        weights = np.zeros((len(self.COUNTS), len(arrays["d"])))
-        for b, (start, n) in enumerate(zip(np.cumsum(self.COUNTS) - self.COUNTS, self.COUNTS)):
-            rows = arrays["d"][start : start + n]
-            weights[b, start : start + n] = weigh(rows @ arrays["q"][b], [n], self.BETA)[0]
-        np.testing.assert_allclose(e.value, weights @ arrays["d"], rtol=0, atol=1e-15)
-        # d's gradient is the finite difference of the aggregate with the weights held.
-        for idx in np.ndindex(*arrays["d"].shape):
-            bump = np.zeros_like(arrays["d"])
+    def test_fixed_weights_are_constants(self, rng):
+        preps, config, table, w = self.setup(rng, False)
+        embed = ad.param(table)
+        qe = training._evidence(preps, embed, config)
+        ad.backward(qe, w)
+        # The weights and picked rows at the table's values, from the numpy selection.
+        token_ids, slots = training._layout(preps)
+        rows = encode_all(table, token_ids)
+        q_at, picked, counts, alpha, e = training._weighed(preps, rows, slots, config)
+        assert np.array_equal(qe.value, np.stack([rows[q_at], e]))
+        starts = np.cumsum(counts) - counts
+
+        def loss(tab):
+            rows = encode_all(tab, token_ids)
+            held = np.add.reduceat(alpha[:, None] * rows[picked], starts, axis=0)
+            return np.sum(w * np.stack([rows[q_at], held]))
+
+        # The table's gradient is the finite difference of q and e with the weights held.
+        for idx in np.ndindex(*table.shape):
+            bump = np.zeros_like(table)
             bump[idx] = H
-            up, down = (np.sum(w * (weights @ (arrays["d"] + s))) for s in (bump, -bump))
-            numeric = (up - down) / (2 * H)
-            denom = max(1e-8, abs(d.grad[idx]) + abs(numeric))
-            assert abs(d.grad[idx] - numeric) / denom < TOL, idx
+            numeric = (loss(table + bump) - loss(table - bump)) / (2 * H)
+            denom = max(1e-8, abs(embed.grad[idx]) + abs(numeric))
+            assert abs(embed.grad[idx] - numeric) / denom < TOL, idx
 
 
 class TestComposite:
@@ -242,8 +259,8 @@ class TestComposite:
 
     def test_l2_normalize_rows(self, rng):
         arrays = {"m": rng.normal(size=(3, 5)), "w": rng.normal(size=(3, 5))}
-        check_grads(lambda t: ref.sum_all(ref.mul(ad.l2_normalize_rows(t["m"]), t["w"])), arrays)
-        got = ad.l2_normalize_rows(ad.const(arrays["m"])).value
+        check_grads(lambda t: ref.sum_all(ref.mul(ref.l2_normalize_rows(t["m"]), t["w"])), arrays)
+        got = ref.l2_normalize_rows(ad.const(arrays["m"])).value
         for row, v in zip(got, arrays["m"]):
             np.testing.assert_allclose(row, ref.l2_normalize(ad.const(v)).value, atol=1e-15)
 

@@ -5,6 +5,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from alignrag import cli
 from alignrag.data import SyntheticSpec, generate_synthetic, save_samples, write_corpus
 from alignrag.errors import NonFiniteLoss
+from alignrag.serialization import read_container, write_container
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +531,27 @@ class TestMalformedInput:
         rc = cli.main(["eval", str(workdir["data"]), "--checkpoint", str(bad)])
         assert rc == cli.EXIT_IO
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["index", "checkpoint"])
+    def test_non_finite_value_in_any_array_is_io_error(self, workdir, kind, capsys):
+        root = workdir["root"]
+        path = workdir["ckpt"] if kind == "checkpoint" else root / "finite.idx"
+        if kind == "index":
+            assert cli.main(["index", str(workdir["corpus"]), "--out", str(path)]) == cli.EXIT_OK
+        header, arrays = read_container(path, kind)
+        header = {k: v for k, v in header.items() if k not in ("kind", "arrays")}
+        assert len(arrays) == (2 if kind == "index" else 15)
+        for name, value in ((n, v) for n in sorted(arrays) for v in (np.nan, np.inf)):
+            bad_arrays = {**arrays, name: arrays[name].copy()}
+            bad_arrays[name].flat[-1] = value
+            bad = root / f"bad_{name}.{kind}"
+            write_container(bad, kind, header, bad_arrays)
+            argv = {
+                "index": ["query", str(bad), workdir["question"]],
+                "checkpoint": ["eval", str(workdir["data"]), "--checkpoint", str(bad)],
+            }[kind]
+            assert cli.main(argv) == cli.EXIT_IO, name
+            assert f"non-finite values in array {name!r}" in capsys.readouterr().err
 
 
 class TestInvalidSettings:

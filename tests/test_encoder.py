@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from alignrag import autodiff as ad
 from alignrag.encoder import (
     EncoderParams,
     SemanticVector,
@@ -51,12 +50,27 @@ class TestEncode:
     def test_mean_pool_then_normalize_oracle(self, rng):
         # Independent oracle: explicit mean + norm with plain numpy.
         table = rng.normal(size=(9, 5))
-        params = EncoderParams(embedding=table)
         ids = [2, 5, 5, 7]
         expected = table[ids].mean(axis=0)
-        expected = expected / np.linalg.norm(expected)
-        got = encode_rows(ad.const(params.embedding), ids, [len(ids)]).value[0]
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        norm = np.linalg.norm(expected)
+        got, norms = encode_rows(table, ids, [len(ids)])
+        np.testing.assert_allclose(got[0], expected / norm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(norms, [[norm]], rtol=1e-12, atol=0)
+
+    def test_segments_of_gathered_rows(self, rng):
+        table = rng.normal(size=(5, 3))
+        ids = [2, 0, 2, 4, 2, 1, 3]  # row 2 repeats within and across segments
+        lengths = [1, 3, 1, 2]  # two one-token segments
+        got, norms = encode_rows(table, ids, lengths)
+        bounds = np.cumsum([0] + lengths)
+        pooled = np.array([table[ids[a:b]].mean(axis=0) for a, b in zip(bounds, bounds[1:])])
+        np.testing.assert_allclose(got * norms, pooled, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lengths", [[2, 0, 2], [2, 1], [2, 3], []])
+    def test_segments_must_cover_the_ids(self, lengths):
+        with pytest.raises(ValueError):
+            encode_rows(np.ones((4, 2)), [0, 1, 2, 3], lengths)
 
     def test_output_is_unit_norm(self, tiny_vocab, tiny_encoder):
         v = encode("alpha bravo charlie", tiny_vocab, tiny_encoder)
@@ -75,11 +89,11 @@ class TestEncode:
     def test_degenerate_norm_detected(self):
         params = EncoderParams(embedding=np.zeros((4, 3)))
         with pytest.raises(DegenerateNorm):
-            encode_rows(ad.const(params.embedding), [0, 1], [2])
+            encode_rows(params.embedding, [0, 1], [2])
 
     def test_cancelling_rows_are_degenerate(self):
         table = np.zeros((2, 3))
         table[0] = [1.0, -2.0, 0.5]
         table[1] = -table[0]
         with pytest.raises(DegenerateNorm):
-            encode_rows(ad.const(table), [0, 1], [2])
+            encode_rows(table, [0, 1], [2])

@@ -24,7 +24,7 @@ from alignrag.evaluation import (
 from alignrag.index import build_index
 from alignrag.metrics import exact_match
 from alignrag.training import TrainConfig, sample_chunks, train
-from alignrag.vocab import Vocabulary, tokenize
+from alignrag.vocab import EOS_ID, N_RESERVED, Vocabulary
 import reference as ref
 
 BETA_GRID = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
@@ -75,7 +75,7 @@ def per_sample_evaluate(dataset, ckpt, config):
             pred = vocab.decode(trace.tokens)
             consistency = float(np.linalg.norm(trace.h_gen - agg.vector.values))
             rate = _support_rate(
-                tokenize(pred), [set(tokenize(index.text(r.chunk_id))) for r in results]
+                trace.tokens, vocab.n_content, [vocab.encode(index.text(r.chunk_id)) for r in results]
             )
             alphas = dict(agg.source_weights.entries)
             retrieved = [
@@ -223,6 +223,28 @@ class TestEvaluate:
         for rec in report.samples:
             assert len(rec["retrieved"]) == 1
             assert rec["retrieved"][0]["alpha"] == pytest.approx(1.0)
+
+
+class TestSupportRate:
+    def test_hash_bucket_ids_are_not_content(self):
+        vocab = Vocabulary(["alpha", "bravo"], hash_buckets=4)
+        bucket, alpha = vocab.token_id("zulu"), vocab.token_id("alpha")
+        assert bucket >= N_RESERVED + vocab.n_content
+        chunks = [np.array(vocab.encode("alpha zulu")), np.array(vocab.encode("charlie"))]
+        assert _support_rate([bucket, alpha, EOS_ID], vocab.n_content, chunks) == 1.0
+        assert _support_rate([alpha, vocab.token_id("bravo")], vocab.n_content, chunks) == 0.5
+        assert _support_rate([bucket, EOS_ID], vocab.n_content, chunks) is None
+
+    def test_a_generation_of_bucket_ids_has_no_rate(self, trained):
+        samples, ckpt = trained
+        bucket = N_RESERVED + ckpt.vocab.n_content
+        b_out = ckpt.params["b_out"].copy()
+        b_out[bucket] = 1e3  # every greedy step emits the first bucket
+        biased = dataclasses.replace(ckpt, params={**ckpt.params, "b_out": b_out})
+        report = evaluate(samples[:2], biased, dataclasses.replace(ckpt.config, max_len=3))
+        assert [r["generated"] for r in report.samples] == ["<unk0> <unk0> <unk0>"] * 2
+        assert [r["support_rate"] for r in report.samples] == [None, None]
+        assert report.mean_support_rate is None
 
 
 class TestBatchedParity:

@@ -482,6 +482,22 @@ class TestBatchedRanking:
             got = [(r.chunk_id, r.score) for r in top_k(rows[0], idx, k)]
             assert got == ref.rank(rows[0], idx, k)
 
+    def test_nan_scores_rank_last(self):
+        # A NaN query scores NaN everywhere; a NaN row scores NaN against any query.
+        idx = EvidenceIndex(range(3), list("abc"), np.eye(3))
+        got = top_k(np.array([np.nan, 0.0, 0.0]), idx, 2)
+        assert [r.chunk_id for r in got] == [0, 1] and np.isnan([r.score for r in got]).all()
+        nan_row = np.eye(3)
+        nan_row[0] = np.nan
+        idx = EvidenceIndex(range(3), list("abc"), nan_row)
+        got = top_k(np.array([0.0, 1.0, 0.0]), idx, 3)
+        assert [r.chunk_id for r in got] == [1, 2, 0] and np.isnan(got[2].score)
+        # The same two samples ranked at once; tau keeps no NaN score.
+        rows = np.vstack([[np.nan, 0.0, 0.0], np.eye(3), [0.0, 1.0, 0.0], nan_row])
+        scored = score_samples(rows, [np.arange(4), np.arange(4, 8)])
+        assert select_evidence(scored, 2, -1.0) == [([], []), ([1, 2], [1.0, 0.0])]
+        assert select_evidence(scored, 3, -1.0) == [([], []), ([1, 2], [1.0, 0.0])]
+
     def test_bad_k_rejected(self, rng):
         rows, slots = self.samples(rng, [3])
         with pytest.raises(ValueError):

@@ -123,6 +123,18 @@ def test_autodiff_imports_no_other_alignrag_module():
     assert import_graph()["autodiff"] == set()
 
 
+def test_autodiff_holds_only_the_tape():
+    from alignrag import autodiff
+
+    defined = [n for n, v in vars(autodiff).items() if getattr(v, "__module__", None) == autodiff.__name__]
+    assert sorted(defined) == ["Tensor", "backward", "const", "param"]
+
+
+def test_encoder_is_plain_numpy():
+    # The encoder's gradient is derived by hand in training's evidence node.
+    assert "autodiff" not in import_graph()["encoder"]
+
+
 def benchmark_layers() -> dict[str, list[str]]:
     """The benchmark's LAYERS: span name -> the "module:attribute[.method]" sites it wraps."""
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()

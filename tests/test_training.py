@@ -8,7 +8,7 @@ from alignrag import autodiff as ad
 from alignrag import training
 from alignrag.data import QASample, SyntheticSpec, evidence_texts, generate_synthetic
 from alignrag.decoder import decode_greedy
-from alignrag.encoder import encode, encode_rows
+from alignrag.encoder import encode
 from alignrag.errors import DimMismatch, EmptyInput, EmptyScores, InvalidTokenId, LengthMismatch
 from alignrag.evaluation import retrieve
 from alignrag.index import build_index
@@ -160,10 +160,9 @@ def multi_hop_setup(overrides):
 
 
 def batched_evidence(preps, embed, config):
-    """The training tape's (q, e) of a minibatch: one encode, then one selection."""
-    token_ids, slots = training._layout(preps)
-    rows = encode_rows(embed, np.concatenate(token_ids), [len(ids) for ids in token_ids])
-    return training._evidence(preps, rows, slots, config)
+    """The training tape's (q, e) of a minibatch, each (B, D), from its one evidence node."""
+    qe = training._evidence(preps, embed, config)
+    return ref.row(qe, 0), ref.row(qe, 1)
 
 
 def minibatch_setup(overrides):
@@ -362,7 +361,7 @@ class TestTapeContract:
 
     @pytest.mark.parametrize(
         "overrides, n_nodes",
-        [({}, 22), ({"freeze_encoder": True}, 17), ({"differentiable_weights": True}, 22)],
+        [({}, 17), ({"freeze_encoder": True}, 16), ({"differentiable_weights": True}, 17)],
         ids=["joint", "frozen", "differentiable_weights"],
     )
     def test_backward_gives_each_parent_its_shape_once_per_pass(self, overrides, n_nodes):
