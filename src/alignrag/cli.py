@@ -70,6 +70,9 @@ def resolve_config(
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise SchemaError(f"config file {config_path}: expected a JSON object")
+        for section in doc:
+            if section not in _SECTIONS:
+                raise SchemaError(f"config file {config_path}: unknown section {section!r}")
         for section, fields in _SECTIONS.items():
             if not isinstance(doc.get(section, {}), dict):
                 raise SchemaError(f"config section {section!r} is not a JSON object")

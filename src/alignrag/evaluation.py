@@ -5,8 +5,9 @@ weight -> aggregate. evaluate() runs encode -> rank -> weight -> greedy
 decode -> metrics and emits a fully attributed, deterministic report.
 Each call encodes every distinct text and scores every sample's chunks
 once; ranking, weighting and decoding then run over all its samples at
-once, with the bits of retrieve and decode_greedy on each alone. The
-two sweeps vary exactly one parameter (beta, or top-k) and rerun
+once, with the bits of retrieve and decode_greedy on each alone, and each
+distinct (prediction, answer) pair is scored once per call. The two
+sweeps vary exactly one parameter (beta, or top-k) and rerun
 select -> weigh -> decode -> metrics per grid point.
 """
 from __future__ import annotations
@@ -91,7 +92,8 @@ def retrieve(
 def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides: list[dict]):
     """One report per override of config (default: the checkpoint's): select -> weigh ->
     greedy decode -> metrics, each over all samples at once. Each distinct text is
-    tokenized and encoded, and each sample scored, once for all of the reports."""
+    tokenized and encoded, each sample's chunks scored, and each distinct (prediction,
+    answer) pair's metrics computed, once for all of the reports."""
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
     base = config if config is not None else ckpt.config
@@ -101,6 +103,9 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
     scored = score_samples(rows, slots)
     # Each retained chunk's token-id set, built once per call: membership is then O(1).
     id_set = functools.cache(lambda row: frozenset(ids[row].tolist()))
+    # Each distinct (prediction, answer) pair's scores, also once per call; every record
+    # spreads them into a dict of its own.
+    scores_of = functools.cache(sample_scores)
     fingerprint, reports = checkpoint_fingerprint(ckpt), []
     for config in (dataclasses.replace(base, **o) for o in overrides):
         kept, (q_at, picked, counts, kept_scores) = _select(scored, slots, config)
@@ -129,7 +134,7 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
                     "retrieval_failure": not positions,
                     "retrieved": retrieved,
                     "generated": pred,
-                    **sample_scores(pred, prep.sample.answer),
+                    **scores_of(pred, prep.sample.answer),
                     "consistency": consistency,
                     "support_rate": rate,
                 }

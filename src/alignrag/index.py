@@ -66,7 +66,8 @@ class EvidenceIndex:
         if repeated.size:
             raise DuplicateId(f"duplicate chunk id {int(repeated[0])}")
         self.ids, self.texts, self.matrix = ids.view(), list(texts), matrix.view()
-        self.screen = matrix.astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range rows get slack = inf
+            self.screen = matrix.astype(np.float32)
         self.ids.flags.writeable = self.matrix.flags.writeable = self.screen.flags.writeable = False
         max_norm = np.sqrt(np.einsum("ij,ij->i", matrix, matrix).max())
         self.slack = float((self.dim + 4) * 2.0**-23 * max_norm + 2.0**-100)
@@ -122,9 +123,12 @@ def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
         raise DimMismatch(f"query dim {qv.shape[0]} != index dim {index.dim}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    rough = index.screen @ _unit_rows(qv)[0].astype(np.float32)
-    kth = len(rough) - min(k, len(rough))
-    cut = np.float64(np.partition(rough, kth)[kth]) - 2 * index.slack
+    unit = _unit_rows(qv)[0].astype(np.float32)
+    kth = len(index) - min(k, len(index))
+    # The float32 product overflows, and inf - 2 * slack is NaN, only where slack = inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rough = index.screen @ unit
+        cut = np.float64(np.partition(rough, kth)[kth]) - 2 * index.slack
     cand = np.flatnonzero(~(rough < cut))  # a NaN cut keeps every row
     scores = cosine_scores(qv, index.matrix[cand])
     return [RetrievalResult(int(index.ids[cand[i]]), float(scores[i])) for i in best_k(scores, k)]

@@ -634,6 +634,19 @@ class TestInvalidSettings:
         assert rc == cli.EXIT_IO
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["index", "train", "eval", "sweep"])
+    def test_unknown_section_is_io_error(self, workdir, command, capsys):
+        # A misspelt section would otherwise be ignored and its settings left at their defaults.
+        root = workdir["root"]
+        out = root / f"unknown-section-{command}.out"
+        config = root / "unknown-section-config.json"
+        config.write_text(json.dumps({"training": {"epochs": 1}, "retreival": {"top_k": 2}}))
+        rc = cli.main(self._argv(workdir, command) + ["--out", str(out), "--config", str(config)])
+        assert rc == cli.EXIT_IO
+        assert "'retreival'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".config.json").exists()
+
 
 class TestCorruptHeader:
     """A corrupted byte or field anywhere before a container's payload exits 0, 2 or 3, never a traceback."""

@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from alignrag import evaluation
 from alignrag.data import QASample, SyntheticSpec, generate_synthetic
 from alignrag.decoder import decode_greedy
 from alignrag.encoder import encode
@@ -22,7 +23,7 @@ from alignrag.evaluation import (
     sweep_top_k,
 )
 from alignrag.index import build_index
-from alignrag.metrics import exact_match
+from alignrag.metrics import exact_match, sample_scores
 from alignrag.training import TrainConfig, sample_chunks, train
 from alignrag.vocab import EOS_ID, N_RESERVED, Vocabulary
 import reference as ref
@@ -351,6 +352,27 @@ class TestSweeps:
         assert sweep_to_json(sweep) == sweep_to_json(direct)
         assert sweep_to_csv(sweep) == sweep_to_csv(direct)
         assert sweep_to_svg(sweep) == sweep_to_svg(direct)
+
+    def test_each_distinct_pair_is_scored_once_per_call(self, multi_hop, monkeypatch):
+        samples, ckpt = multi_hop
+        calls = []
+
+        def counted(pred, gold):
+            calls.append((pred, gold))
+            return sample_scores(pred, gold)
+
+        monkeypatch.setattr(evaluation, "sample_scores", counted)
+        sweep = sweep_top_k(samples, ckpt, K_GRID)
+        answers = {s.id: s.answer for s in samples}
+        records = [r for rep in sweep.reports for r in rep.samples]
+        pairs = [(r["generated"], answers[r["id"]]) for r in records]
+        assert len(set(pairs)) < len(pairs)  # the grid repeats pairs, so the memo is exercised
+        assert sorted(calls) == sorted(set(pairs))
+        # Records that share a pair still hold dicts of their own.
+        first, again = [r for r, pair in zip(records, pairs) if pair == pairs[0]][:2]
+        em = again["em"]
+        first["em"] = -1
+        assert again["em"] == em
 
     def test_k_sweep_isolates_one_parameter(self, trained):
         samples, ckpt = trained
