@@ -211,12 +211,9 @@ def cmd_sweep(args) -> int:
     dataset = load_hotpotqa(args.data)
     config = resolve_config(args.config, _overrides(args), base=ckpt.config)
     grid = args.grid.split(",")
-    if args.param == "beta":
-        sweep = sweep_alignment_weight(dataset, ckpt, grid, config)
-    elif args.param == "top_k":
-        sweep = sweep_top_k(dataset, ckpt, grid, config)
-    else:
-        raise SchemaError(f"unknown sweep parameter {args.param!r}")
+    # argparse's choices let --param be beta or top_k only.
+    sweep_of = sweep_alignment_weight if args.param == "beta" else sweep_top_k
+    sweep = sweep_of(dataset, ckpt, grid, config)
     out = Path(args.out)
     out.with_suffix(".json").write_text(sweep_to_json(sweep))
     out.with_suffix(".csv").write_text(sweep_to_csv(sweep))

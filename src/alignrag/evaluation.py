@@ -28,7 +28,7 @@ from .encoder import encode_all
 from .errors import EmptyScores, InvalidGrid
 from .index import EvidenceIndex, RetrievalResult, filter_by_threshold, score_samples, top_k
 from .metrics import MetricReport, mean_report, sample_scores
-from .training import Checkpoint, TrainConfig, _layout, _prepare_samples, _select
+from .training import Checkpoint, TrainConfig, _prepare_samples, _select
 from .vocab import N_RESERVED
 
 REPORT_SCHEMA_VERSION = 1
@@ -97,8 +97,8 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
     if not dataset:
         raise EmptyScores("evaluation dataset is empty")
     base = config if config is not None else ckpt.config
-    preps = _prepare_samples(dataset, ckpt.vocab, base, answer=False)
-    ids, slots = _layout(preps)
+    prepared = _prepare_samples(dataset, ckpt.vocab, base, answer=False)
+    ids, slots = prepared.token_ids, prepared.slots
     rows = encode_all(ckpt.params["enc_embed"], ids)
     scored = score_samples(rows, slots)
     # Each retained chunk's token-id set, built once per call: membership is then O(1).
@@ -115,7 +115,8 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
             tokens, h_gen = decode_rows(rows[q_at], e, ckpt.params, config.max_len)
             decoded = zip(tokens, h_gen, e, np.split(alphas, np.cumsum(counts)[:-1]))
         records = []
-        for prep, at, (positions, scores) in zip(preps, slots, kept):
+        each = zip(prepared.samples, prepared.titles, slots, kept)
+        for sample, titles, at, (positions, scores) in each:
             # A retrieval failure generates "", which is scored like any prediction.
             pred, retrieved, consistency, rate = "", [], None, None
             if positions:
@@ -125,16 +126,16 @@ def _evaluate_each(dataset: list[QASample], ckpt: Checkpoint, config, overrides:
                 retained = [id_set(at[1 + i]) for i in positions]
                 rate = _support_rate(token_ids, ckpt.vocab.n_content, retained)
                 retrieved = [
-                    {"chunk_id": i, "title": prep.titles[i], "score": s, "alpha": a}
+                    {"chunk_id": i, "title": titles[i], "score": s, "alpha": a}
                     for i, s, a in zip(positions, scores, weights.tolist())
                 ]
             records.append(
                 {
-                    "id": prep.sample.id,
+                    "id": sample.id,
                     "retrieval_failure": not positions,
                     "retrieved": retrieved,
                     "generated": pred,
-                    **scores_of(pred, prep.sample.answer),
+                    **scores_of(pred, sample.answer),
                     "consistency": consistency,
                     "support_rate": rate,
                 }

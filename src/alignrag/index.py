@@ -135,8 +135,15 @@ def top_k(q, index: EvidenceIndex, k: int) -> list[RetrievalResult]:
 
 
 def _unit_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q (..., D) with each row divided by its norm, near-zero rows as 0, and where they are."""
-    norms = np.array([np.linalg.norm(v) for v in q.reshape(-1, q.shape[-1])]).reshape(q.shape[:-1])
+    """q (..., D) with each row divided by its norm, near-zero rows as 0, and where they are.
+    A finite row whose squares overflow takes its norm as m * norm(v / m), m = max |v|."""
+    rows = q.reshape(-1, q.shape[-1])
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(v) for v in rows])
+        for i in np.flatnonzero(np.isinf(norms) & np.isfinite(rows).all(axis=1)):
+            m = np.abs(rows[i]).max()
+            norms[i] = m * np.linalg.norm(rows[i] / m)
+    norms = norms.reshape(q.shape[:-1])
     zero = norms < ZERO_NORM_EPS
     return q / np.where(zero, np.inf, norms)[..., None], zero
 

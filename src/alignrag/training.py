@@ -3,10 +3,10 @@
 The objective combines teacher-forced negative log-likelihood with the
 consistency penalty ||h_gen - e||_2 (smoothed at the origin), weighted
 by lambda. A minibatch's tape has two ops, each with a hand-derived
-backward: the evidence node, which encodes with encode_rows and then takes
-evaluate's steps (_layout, _select, then weigh), so the tape's e is
-retrieve's e bit for bit, and decoder.decoder_losses. Gradients are
-checked against central finite differences.
+backward: the evidence node, which encodes _prepare_samples's rows with
+encode_rows and then takes evaluate's steps (_select, then weigh), so the
+tape's e is retrieve's e bit for bit, and decoder.decoder_losses.
+Gradients are checked against central finite differences.
 """
 from __future__ import annotations
 
@@ -156,29 +156,43 @@ def sample_chunks(sample: QASample, config: TrainConfig) -> list[tuple[str, str]
 
 
 @dataclass
-class _PreparedSample:
-    """A sample tokenized once: what the tape and evaluate read of it."""
+class _Prepared:
+    """Samples tokenized and laid out in one pass: what the tape and evaluate read of them.
 
-    sample: QASample
-    token_ids: list[np.ndarray]  # the question's token ids, then each chunk's
-    titles: list[str]  # chunk titles and texts, in sample_chunks order
-    texts: list[str]
-    answer_ids: list[int] | None  # None when prepared without the answer
-    # The (2, D) stacked q and e, set by _prepare_dataset when the encoder is
-    # frozen and they therefore depend on no trainable parameter.
+    token_ids holds one read-only id array per distinct question or chunk text, in the
+    order the samples first use them; slots[b] holds the rows of sample b's question,
+    then of its chunks, and titles[b] those chunks' titles, in sample_chunks order.
+    """
+
+    samples: list[QASample]
+    token_ids: list[np.ndarray]
+    slots: list[list[int]]
+    titles: list[list[str]]
+    answer_ids: list[list[int]] | None  # None when prepared without the answers
+    # The (2, B, D) q and e, set by _prepare_dataset when a frozen encoder fixes them.
     frozen: np.ndarray | None = None
 
+    def take(self, at) -> "_Prepared":
+        """The samples at positions at, their rows renumbered in the order they first use
+        them: the layout _prepare_samples gives those samples."""
+        row: dict[int, int] = {}
+        slots = [[row.setdefault(r, len(row)) for r in self.slots[i]] for i in at]
+        answer_ids = None if self.answer_ids is None else [self.answer_ids[i] for i in at]
+        frozen = None if self.frozen is None else self.frozen[:, at]
+        return _Prepared([self.samples[i] for i in at], [self.token_ids[r] for r in row],
+                         slots, [self.titles[i] for i in at], answer_ids, frozen)
 
-def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=True):
-    """Tokenize a sample's question, chunks and, unless answer is False, answer.
 
-    cache maps text -> token ids for the length of one call, so each distinct
-    text is tokenized once; its id arrays are shared between samples and read-only.
-    A prepared sample is returned as is.
+def _prepare_samples(samples, vocab: Vocabulary, config: TrainConfig, answer=True) -> _Prepared:
+    """Tokenize each sample's question, chunks and, unless answer is False, answer, each
+    distinct text once, and give each distinct question or chunk text one row.
+
+    The id arrays are shared between samples and read-only. A _Prepared is returned as is.
     """
-    if isinstance(sample, _PreparedSample):
-        return sample
-    cache = {} if cache is None else cache
+    if isinstance(samples, _Prepared):
+        return samples
+    cache: dict[str, np.ndarray] = {}
+    row: dict[str, int] = {}  # a question or chunk text keeps the row it first took
 
     def token_ids(text: str) -> np.ndarray:
         ids = cache.get(text)
@@ -187,44 +201,21 @@ def _prepare(sample, vocab: Vocabulary, config: TrainConfig, cache=None, answer=
             ids.flags.writeable = False
         return ids
 
-    segments = [token_ids(sample.question)]
-    if not segments[0].size:
-        raise EmptyInput(f"sample {sample.id}: empty question after tokenization")
-    chunks = sample_chunks(sample, config)
-    for title, text in chunks:
-        segments.append(token_ids(text))
-        if not segments[-1].size:
-            raise EmptyInput(f"sample {sample.id}: chunk {title!r} tokenized to nothing")
-    answer_ids = None
-    if answer:
-        answer_ids = token_ids(sample.answer).tolist()
-        if not answer_ids:
-            raise EmptyInput(f"sample {sample.id}: empty answer after tokenization")
-    return _PreparedSample(
-        sample=sample,
-        token_ids=segments,
-        titles=[title for title, _ in chunks],
-        texts=[text for _, text in chunks],
-        answer_ids=answer_ids,
-    )
-
-
-def _prepare_samples(
-    samples, vocab: Vocabulary, config: TrainConfig, answer=True
-) -> list[_PreparedSample]:
-    """Prepare every sample with one token cache, so each distinct text is tokenized once."""
-    cache: dict[str, np.ndarray] = {}
-    return [_prepare(s, vocab, config, cache, answer) for s in samples]
-
-
-def _layout(preps: list[_PreparedSample]) -> tuple[list[np.ndarray], list[list[int]]]:
-    """The token ids of one row per distinct question or chunk text of preps, and each
-    sample's slots: the positions in those rows of its question's, then each chunk's."""
-    token_ids: dict[str, np.ndarray] = {}  # a text keeps the position it first took
-    for prep in preps:
-        token_ids.update(zip((prep.sample.question, *prep.texts), prep.token_ids))
-    row = dict(zip(token_ids, range(len(token_ids))))
-    return list(token_ids.values()), [[row[t] for t in (p.sample.question, *p.texts)] for p in preps]
+    samples, slots, titles, answers = list(samples), [], [], []
+    for s in samples:
+        if not token_ids(s.question).size:
+            raise EmptyInput(f"sample {s.id}: empty question after tokenization")
+        chunks = sample_chunks(s, config)
+        for title, text in chunks:
+            if not token_ids(text).size:
+                raise EmptyInput(f"sample {s.id}: chunk {title!r} tokenized to nothing")
+        slots.append([row.setdefault(t, len(row)) for t in (s.question, *(c for _, c in chunks))])
+        titles.append([title for title, _ in chunks])
+        if answer:
+            answers.append(token_ids(s.answer).tolist())
+            if not answers[-1]:
+                raise EmptyInput(f"sample {s.id}: empty answer after tokenization")
+    return _Prepared(samples, [cache[t] for t in row], slots, titles, answers if answer else None)
 
 
 def _select(scored, slots, config: TrainConfig):
@@ -238,20 +229,20 @@ def _select(scored, slots, config: TrainConfig):
     return kept, ([at[0] for at, *_ in live], picked, counts, [s for *_, ss in live for s in ss])
 
 
-def _weighed(preps: list[_PreparedSample], rows: np.ndarray, slots, config: TrainConfig):
-    """evaluate's selection and weighing of a layout's encoded rows (rows and slots as
-    _layout lays them out): the positions in rows of each sample's question and kept
-    chunks, each sample's kept count, the alphas and the aggregates e (B, D). A sample
-    that keeps nothing raises EmptyScores."""
+def _weighed(prepared: _Prepared, rows: np.ndarray, config: TrainConfig):
+    """evaluate's selection and weighing of prepared's encoded rows: the positions in rows
+    of each sample's question and kept chunks, each sample's kept count, the alphas and
+    the aggregates e (B, D). A sample that keeps nothing raises EmptyScores."""
+    slots = prepared.slots
     kept, (q_at, picked, counts, scores) = _select(score_samples(rows, slots), slots, config)
-    for prep, (positions, _) in zip(preps, kept):
+    for sample, (positions, _) in zip(prepared.samples, kept):
         if not positions:
-            raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
+            raise EmptyScores(f"sample {sample.id}: threshold {config.tau} retained nothing")
     alpha, e = weigh(scores, counts, config.beta, rows[picked])
     return q_at, picked, counts, alpha, e
 
 
-def _evidence(preps: list[_PreparedSample], embed: ad.Tensor, config: TrainConfig) -> ad.Tensor:
+def _evidence(prepared: _Prepared, embed: ad.Tensor, config: TrainConfig) -> ad.Tensor:
     """A minibatch's query rows q and evidence aggregates e, stacked (2, B, D), as one
     tape node whose parent is the encoder's table.
 
@@ -262,10 +253,10 @@ def _evidence(preps: list[_PreparedSample], embed: ad.Tensor, config: TrainConfi
     both), then the row gathers, the L2 normalization, the mean pool and the
     table-row gather.
     """
-    token_ids, slots = _layout(preps)
+    token_ids = prepared.token_ids
     ids, lengths = np.concatenate(token_ids), [len(t) for t in token_ids]
     rows, norms = encode_rows(embed.value, ids, lengths)
-    q_at, picked, counts, alpha, e = _weighed(preps, rows, slots, config)
+    q_at, picked, counts, alpha, e = _weighed(prepared, rows, config)
     q, d = rows[q_at], rows[picked]
     seg = np.repeat(np.arange(len(counts)), counts)  # the sample of each picked row
     starts = np.cumsum(counts) - counts
@@ -298,18 +289,17 @@ def _scatter_rows(shape, at, g) -> np.ndarray:
     return out
 
 
-def _loss_tape(preps: list[_PreparedSample], tensors: dict[str, ad.Tensor], config) -> ad.Tensor:
+def _loss_tape(prepared: _Prepared, tensors: dict[str, ad.Tensor], config) -> ad.Tensor:
     """Build the loss graph of a minibatch; its root is the decoder node's
     (2, B) per-sample [l_nll; l_cons].
 
-    Its q and e are a constant when every sample's are fixed, and the
-    evidence node otherwise.
+    Its q and e are a constant when they are fixed, and the evidence node otherwise.
     """
-    if all(p.frozen is not None for p in preps):
-        qe = ad.const(np.stack([p.frozen for p in preps], axis=1))
+    if prepared.frozen is not None:
+        qe = ad.const(prepared.frozen)
     else:
-        qe = _evidence(preps, tensors["enc_embed"], config)
-    return decoder_losses(tensors, qe, [p.answer_ids for p in preps], CONS_EPS)
+        qe = _evidence(prepared, tensors["enc_embed"], config)
+    return decoder_losses(tensors, qe, prepared.answer_ids, CONS_EPS)
 
 
 def _wrap_params(params: dict[str, np.ndarray], freeze_encoder=False) -> dict[str, ad.Tensor]:
@@ -327,11 +317,11 @@ def _breakdowns(per_sample: ad.Tensor, lambda_: float) -> list[LossBreakdown]:
 
 def joint_loss(samples, vocab: Vocabulary, params: dict[str, np.ndarray], config: TrainConfig):
     """Loss breakdown of one sample, or the list of breakdowns of a list of samples."""
-    batch = samples if isinstance(samples, list) else [samples]
-    tensors = _wrap_params(params, config.freeze_encoder)
-    per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
+    one = isinstance(samples, QASample)
+    batch = _prepare_samples([samples] if one else samples, vocab, config)
+    per_sample = _loss_tape(batch, _wrap_params(params, config.freeze_encoder), config)
     breakdowns = _breakdowns(per_sample, config.lambda_)
-    return breakdowns if isinstance(samples, list) else breakdowns[0]
+    return breakdowns[0] if one else breakdowns
 
 
 def joint_loss_and_grads(
@@ -346,21 +336,23 @@ def joint_loss_and_grads(
     samples is one sample, or a list of them (a minibatch): then the
     breakdowns come per sample and the gradients are those of the batch
     mean. A frozen encoder's enc_embed gets no gradient. train() passes
-    samples it has tokenized once; any other is prepared here.
+    minibatches taken from the samples it prepared once; any other is prepared here.
     """
-    batch = samples if isinstance(samples, list) else [samples]
+    one = isinstance(samples, QASample)
+    batch = _prepare_samples([samples] if one else samples, vocab, config)
     tensors = _wrap_params(params, config.freeze_encoder)
-    per_sample = _loss_tape(_prepare_samples(batch, vocab, config), tensors, config)
+    per_sample = _loss_tape(batch, tensors, config)
     # A component is the batch mean of w . [l_nll; l_cons]: each column's seed is w / B.
     w = {"nll": (1.0, 0.0), "cons": (0.0, 1.0), "joint": (1.0, config.lambda_)}[component]
-    ad.backward(per_sample, np.outer(w, np.full(len(batch), 1.0 / len(batch))))
+    n = len(batch.samples)
+    ad.backward(per_sample, np.outer(w, np.full(n, 1.0 / n)))
     grads = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in tensors.items()
         if t.requires_grad
     }
     breakdowns = _breakdowns(per_sample, config.lambda_)
-    return (breakdowns if isinstance(samples, list) else breakdowns[0]), grads
+    return (breakdowns[0] if one else breakdowns), grads
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,7 @@ def _mean_breakdown(items: list[LossBreakdown], lambda_: float) -> LossBreakdown
     )
 
 
-def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_PreparedSample]:
+def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> _Prepared:
     """Tokenize every sample once; with a frozen encoder, also fix its q and e.
 
     train() never passes a frozen enc_embed to Adam, so q and e are constants
@@ -436,13 +428,10 @@ def _prepare_dataset(dataset, vocab, params, config: TrainConfig) -> list[_Prepa
     evidence node runs records them from those rows, for every sample at once.
     """
     prepared = _prepare_samples(dataset, vocab, config)
-    if not config.freeze_encoder:
-        return prepared
-    token_ids, slots = _layout(prepared)
-    rows = encode_all(params["enc_embed"], token_ids)
-    q_at, _, _, _, e = _weighed(prepared, rows, slots, config)
-    for prep, qe in zip(prepared, np.stack([rows[q_at], e], axis=1)):
-        prep.frozen = qe
+    if config.freeze_encoder:
+        rows = encode_all(params["enc_embed"], prepared.token_ids)
+        q_at, _, _, _, e = _weighed(prepared, rows, config)
+        prepared.frozen = np.stack([rows[q_at], e])
     return prepared
 
 
@@ -465,9 +454,10 @@ def train(
     prepared = _prepare_dataset(dataset, vocab, params, config)
     n = len(dataset)
     batches = range(0, n, config.batch_size)
-    initial = []
+    initial, in_order = [], np.arange(n)
     for start in batches:
-        initial += joint_loss(prepared[start : start + config.batch_size], vocab, params, config)
+        batch = prepared.take(in_order[start : start + config.batch_size])
+        initial += joint_loss(batch, vocab, params, config)
     log = [_mean_breakdown(initial, config.lambda_)]
     _check_finite(log[0], "initialization")
 
@@ -475,10 +465,10 @@ def train(
         order = rng.permutation(n)
         epoch_losses = []
         for start in batches:
-            batch = [prepared[i] for i in order[start : start + config.batch_size]]
+            batch = prepared.take(order[start : start + config.batch_size])
             breakdowns, grads = joint_loss_and_grads(batch, vocab, params, config)
-            for prep, breakdown in zip(batch, breakdowns):
-                _check_finite(breakdown, f"sample {prep.sample.id} (epoch {epoch})")
+            for sample, breakdown in zip(batch.samples, breakdowns):
+                _check_finite(breakdown, f"sample {sample.id} (epoch {epoch})")
             epoch_losses += breakdowns
             opt.update(params, grads)
         log.append(_mean_breakdown(epoch_losses, config.lambda_))

@@ -12,7 +12,9 @@ op per step), the per-vector numpy decoder that greedy decoding replaced (one
 full softmax per step), and the per-sample evaluation that batched
 evaluation replaced (one index, one ranking, one softmax and one
 one-row greedy decode per sample), whose reports the batched path must
-match byte for byte.
+match byte for byte. The per-sample paths tokenize each sample themselves
+with vocab.encode and sample_chunks, so they share none of the batched
+path's preparation.
 """
 import math
 
@@ -319,21 +321,29 @@ def decode_greedy(q, e, params, max_len):
 # ---------------------------------------------------------------------------
 
 
-def evidence_tape(prep, embed, config):
+def tokenized(sample, vocab, config):
+    """A sample's (title, text) chunks, and the token ids of its question, then of each chunk."""
+    chunks = sample_chunks(sample, config)
+    return chunks, [vocab.encode(text) for text in (sample.question, *(text for _, text in chunks))]
+
+
+def evidence_tape(sample, vocab, embed, config):
     """Reference for the evidence node of a minibatch: one sample's graph.
 
-    Encodes the prepared sample's question and chunks as one batch, then
-    selects, weights and aggregates its evidence op by op. Returns (q, e).
+    Tokenizes the sample's question and chunks itself and encodes them as one
+    batch, then selects, weights and aggregates its evidence op by op.
+    Returns (q, e).
     """
-    ids, lengths = np.concatenate(prep.token_ids), [len(ids) for ids in prep.token_ids]
+    chunks, token_ids = tokenized(sample, vocab, config)
+    ids, lengths = np.concatenate(token_ids), [len(ids) for ids in token_ids]
     rows = l2_normalize_rows(segment_mean(gather_rows(embed, ids), lengths))
     q = row(rows, 0)
-    n = len(prep.texts)
-    index = EvidenceIndex(range(n), prep.texts, rows.value[1:])
+    n = len(chunks)
+    index = EvidenceIndex(range(n), [text for _, text in chunks], rows.value[1:])
     k = n if config.oracle_evidence else config.top_k
     picked = [1 + r.chunk_id for r in filter_by_threshold(top_k(q.value, index, k), config.tau)]
     if not picked:
-        raise EmptyScores(f"sample {prep.sample.id}: threshold {config.tau} retained nothing")
+        raise EmptyScores(f"sample {sample.id}: threshold {config.tau} retained nothing")
     d = gather_rows(rows, picked)
     alphas = softmax(scale(matvec(d, q), config.beta))
     if not config.differentiable_weights:
@@ -385,7 +395,7 @@ def per_sample_loss_tape(sample, vocab, tensors, config):
     embed = tensors["enc_embed"]
     if config.freeze_encoder:
         embed = detach(embed)
-    q, e = evidence_tape(training._prepare(sample, vocab, config), embed, config)
+    q, e = evidence_tape(sample, vocab, embed, config)
     answer_ids = vocab.encode(sample.answer)
     inputs = [BOS_ID] + answer_ids
     targets = answer_ids + [EOS_ID]
@@ -460,11 +470,11 @@ def evaluate(dataset, ckpt, config=None):
     """The per-sample evaluate loop; its report must match evaluate's byte for byte."""
     config = config if config is not None else ckpt.config
     vocab = ckpt.vocab
-    preps = training._prepare_samples(dataset, vocab, config, answer=False)
     records = []
-    for prep in preps:
-        rows = encode_all(ckpt.params["enc_embed"], prep.token_ids)
-        index = EvidenceIndex(range(len(prep.texts)), prep.texts, rows[1:])
+    for sample in dataset:
+        chunks, token_ids = tokenized(sample, vocab, config)
+        rows = encode_all(ckpt.params["enc_embed"], token_ids)
+        index = EvidenceIndex(range(len(chunks)), [text for _, text in chunks], rows[1:])
         k = len(index) if config.oracle_evidence else config.top_k
         kept = [(c, s) for c, s in rank(rows[0], index, k) if s >= config.tau]
         pred, retrieved, consistency, rate = "", [], None, None
@@ -473,16 +483,16 @@ def evaluate(dataset, ckpt, config=None):
             tokens, h_gen = decode_row(rows[0], e, ckpt.params, config.max_len)
             pred = vocab.decode(tokens)
             consistency = float(np.linalg.norm(h_gen - e))
-            retained = [prep.token_ids[1 + c] for c, _ in kept]
+            retained = [token_ids[1 + c] for c, _ in kept]
             rate = evaluation._support_rate(tokens, vocab.n_content, retained)
             retrieved = [
-                {"chunk_id": c, "title": prep.titles[c], "score": s, "alpha": a}
+                {"chunk_id": c, "title": chunks[c][0], "score": s, "alpha": a}
                 for (c, s), a in zip(kept, alphas)
             ]
-        answer = prep.sample.answer
+        answer = sample.answer
         records.append(
             {
-                "id": prep.sample.id,
+                "id": sample.id,
                 "retrieval_failure": not kept,
                 "retrieved": retrieved,
                 "generated": pred,

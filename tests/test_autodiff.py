@@ -210,31 +210,31 @@ class TestEvidenceNode:
             dim=4, top_k=3, beta=1.7, include_title=False, differentiable_weights=differentiable
         )
         vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=2)
-        preps = training._prepare_samples(samples, vocab, config)
+        prepared = training._prepare_samples(samples, vocab, config)
         table = rng.normal(scale=0.5, size=(vocab.size, config.dim))
-        token_ids, slots = training._layout(preps)
-        q_at, picked, *_ = training._weighed(preps, encode_all(table, token_ids), slots, config)
+        rows = encode_all(table, prepared.token_ids)
+        q_at, picked, *_ = training._weighed(prepared, rows, config)
         assert len(set(picked)) < len(picked) and set(q_at) & set(picked)
-        return preps, config, table, rng.normal(size=(2, len(samples), config.dim))
+        return prepared, config, table, rng.normal(size=(2, len(samples), config.dim))
 
     def test_finite_differences_with_differentiable_weights(self, rng):
-        preps, config, table, w = self.setup(rng, True)
+        prepared, config, table, w = self.setup(rng, True)
         check_grads(
             lambda t: ref.sum_all(
-                ref.mul(training._evidence(preps, t["enc_embed"], config), ad.const(w))
+                ref.mul(training._evidence(prepared, t["enc_embed"], config), ad.const(w))
             ),
             {"enc_embed": table},
         )
 
     def test_fixed_weights_are_constants(self, rng):
-        preps, config, table, w = self.setup(rng, False)
+        prepared, config, table, w = self.setup(rng, False)
         embed = ad.param(table)
-        qe = training._evidence(preps, embed, config)
+        qe = training._evidence(prepared, embed, config)
         ad.backward(qe, w)
         # The weights and picked rows at the table's values, from the numpy selection.
-        token_ids, slots = training._layout(preps)
+        token_ids = prepared.token_ids
         rows = encode_all(table, token_ids)
-        q_at, picked, counts, alpha, e = training._weighed(preps, rows, slots, config)
+        q_at, picked, counts, alpha, e = training._weighed(prepared, rows, config)
         assert np.array_equal(qe.value, np.stack([rows[q_at], e]))
         starts = np.cumsum(counts) - counts
 

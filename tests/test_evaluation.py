@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alignrag import evaluation
-from alignrag.data import QASample, SyntheticSpec, generate_synthetic
+from alignrag.data import QASample, SyntheticSpec, generate_synthetic, load_hotpotqa, save_samples
 from alignrag.decoder import decode_greedy
 from alignrag.encoder import encode
 from alignrag.errors import DegenerateNorm, EmptyInput, EmptyScores, InvalidGrid
@@ -215,6 +215,17 @@ class TestEvaluate:
             evaluate([first, second], ckpt, config)
         with pytest.raises(EmptyInput, match="sample second: chunk 'T3'"):
             sweep_top_k([first, second], ckpt, [1, 2], config)
+
+    def test_samples_that_share_an_id_each_get_a_record(self, trained, tmp_path):
+        samples, ckpt = trained
+        twin = dataclasses.replace(samples[1], id=samples[0].id)
+        save_samples(tmp_path / "data.json", [samples[0], twin, samples[2]])
+        dataset = load_hotpotqa(tmp_path / "data.json")
+        assert [s.question for s in dataset] == [samples[0].question, twin.question, samples[2].question]
+        report = evaluate(dataset, ckpt)
+        assert [r["id"] for r in report.samples] == [samples[0].id, samples[0].id, samples[2].id]
+        for sample, record in zip(dataset, report.samples):
+            assert record == evaluate([sample], ckpt).samples[0]
 
     def test_config_override_is_used(self, trained):
         samples, ckpt = trained

@@ -159,9 +159,9 @@ def multi_hop_setup(overrides):
     return sample, config, vocab, params
 
 
-def batched_evidence(preps, embed, config):
+def batched_evidence(prepared, embed, config):
     """The training tape's (q, e) of a minibatch, each (B, D), from its one evidence node."""
-    qe = training._evidence(preps, embed, config)
+    qe = training._evidence(prepared, embed, config)
     return ref.row(qe, 0), ref.row(qe, 1)
 
 
@@ -192,6 +192,51 @@ def inference_retrieve(sample, config, vocab, params):
     return (q, *retrieve(q, index, k, config.tau, config.beta))
 
 
+class TestPreparedTable:
+    """_prepare_samples tokenizes each distinct text once and gives each distinct question
+    or chunk text one row, in first-use order; take lays a minibatch out as a fresh call would."""
+
+    @pytest.mark.parametrize("include_title", [True, False])
+    def test_taken_batch_equals_fresh_preparation(self, include_title):
+        samples, config, vocab, _ = minibatch_setup({"include_title": include_title})
+        others, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_samples=4, n_gold_evidence=2, n_distractors=6)
+        )
+        dataset = samples + others
+        table = training._prepare_samples(dataset, vocab, config)
+        # Without titles, echo asks the text of one of the first sample's chunks.
+        assert (table.slots[2][0] in table.slots[0][1:]) == (not include_title)
+        first_use = list(dict.fromkeys(r for at in table.slots for r in at))
+        assert first_use == list(range(len(table.token_ids)))
+        for at in ([5, 2, 0], [2, 0, 2, 6], [3], list(range(len(dataset)))[::-1]):
+            taken = table.take(at)
+            fresh = training._prepare_samples([dataset[i] for i in at], vocab, config)
+            assert taken.samples == fresh.samples
+            assert taken.slots == fresh.slots
+            assert taken.titles == fresh.titles
+            assert taken.answer_ids == fresh.answer_ids
+            assert len(taken.token_ids) == len(fresh.token_ids)
+            for got, want in zip(taken.token_ids, fresh.token_ids):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("answer", [True, False])
+    def test_each_distinct_text_is_tokenized_once(self, monkeypatch, answer):
+        samples, config, vocab, _ = minibatch_setup({"include_title": False})
+        dataset = samples + samples[::-1]
+        calls = {}
+        encode_text = Vocabulary.encode
+
+        def counting(self, text):
+            calls[text] = calls.get(text, 0) + 1
+            return encode_text(self, text)
+
+        monkeypatch.setattr(Vocabulary, "encode", counting)
+        training._prepare_samples(dataset, vocab, config, answer=answer)
+        texts = {t for s in dataset for t in (s.question, *(c for _, c in sample_chunks(s, config)))}
+        texts |= {s.answer for s in dataset} if answer else set()
+        assert calls == dict.fromkeys(texts, 1)
+
+
 class TestTapeInferenceParity:
     """The training tape, the inference path and the per-vector numpy decoder agree."""
 
@@ -214,8 +259,8 @@ class TestTapeInferenceParity:
 
         tape = joint_loss(sample, vocab, params, config)
         tensors = training._wrap_params(params)
-        prep = training._prepare(sample, vocab, config)
-        _, e_tape = batched_evidence([prep], tensors["enc_embed"], config)
+        prepared = training._prepare_samples([sample], vocab, config)
+        _, e_tape = batched_evidence(prepared, tensors["enc_embed"], config)
         assert abs(tape.l_nll - l_nll) <= 1e-12
         assert abs(tape.l_cons - l_cons) <= 1e-12
         assert np.array_equal(e_tape.value[0], agg.vector.values)
@@ -224,11 +269,11 @@ class TestTapeInferenceParity:
     def test_frozen_evidence_matches_retrieve(self, overrides, n_kept):
         # The three samples share chunk texts, so they share rows of the one layout.
         samples, config, vocab, params = minibatch_setup({**overrides, "freeze_encoder": True})
-        preps = training._prepare_dataset(samples, vocab, params, config)
-        for sample, prep in zip(samples, preps):
+        prepared = training._prepare_dataset(samples, vocab, params, config)
+        for b, sample in enumerate(samples):
             q, _, agg = inference_retrieve(sample, config, vocab, params)
-            assert np.array_equal(prep.frozen[0], q.values), sample.id
-            assert np.array_equal(prep.frozen[1], agg.vector.values), sample.id
+            assert np.array_equal(prepared.frozen[0, b], q.values), sample.id
+            assert np.array_equal(prepared.frozen[1, b], agg.vector.values), sample.id
 
     @PARITY_CASES
     def test_greedy_decode_matches_per_vector_reference(self, overrides, n_kept):
@@ -244,10 +289,10 @@ class TestTapeInferenceParity:
         sample, config, vocab, params = multi_hop_setup(overrides)
         rng = np.random.default_rng(0)
         u, v = ad.const(rng.normal(size=config.dim)), ad.const(rng.normal(size=config.dim))
-        prep = training._prepare(sample, vocab, config)
+        prepared = training._prepare_samples([sample], vocab, config)
         got, want = {}, {}
         for out, evidence in (
-            (got, lambda embed: (ref.row(t, 0) for t in batched_evidence([prep], embed, config))),
+            (got, lambda embed: (ref.row(t, 0) for t in batched_evidence(prepared, embed, config))),
             (want, lambda embed: ref.per_chunk_evidence(sample, vocab, embed, config)),
         ):
             embed = ad.param(params["enc_embed"])
@@ -269,16 +314,16 @@ class TestTapeInferenceParity:
             assert counts == [2, 2, 1]
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(2, len(samples), config.dim))
-        preps = training._prepare_samples(samples, vocab, config)
+        prepared = training._prepare_samples(samples, vocab, config)
         embed = ad.param(params["enc_embed"])
-        q, e = batched_evidence(preps, embed, config)
+        q, e = batched_evidence(prepared, embed, config)
         ad.backward(
             ref.add(ref.sum_all(ref.mul(q, ad.const(u))), ref.sum_all(ref.mul(e, ad.const(v))))
         )
         want_grad = np.zeros_like(params["enc_embed"])
-        for b, prep in enumerate(preps):
+        for b, sample in enumerate(samples):
             embed_b = ad.param(params["enc_embed"])
-            q_b, e_b = ref.evidence_tape(prep, embed_b, config)
+            q_b, e_b = ref.evidence_tape(sample, vocab, embed_b, config)
             ad.backward(ref.add(ref.dot(q_b, ad.const(u[b])), ref.dot(e_b, ad.const(v[b]))))
             assert np.max(np.abs(q.value[b] - q_b.value)) <= 1e-12, b
             assert np.max(np.abs(e.value[b] - e_b.value)) <= 1e-12, b
@@ -326,7 +371,7 @@ class TestBatchedDecoder:
         params = init_params(vocab.size, config.dim, config.hidden, seed=5)
 
         batch = training._prepare_dataset(samples, vocab, params, config)
-        assert all((p.frozen is not None) == config.freeze_encoder for p in batch)
+        assert (batch.frozen is not None) == config.freeze_encoder
         breakdowns, grads = joint_loss_and_grads(batch, vocab, params, config, component)
 
         want_grads = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -366,9 +411,9 @@ class TestTapeContract:
     )
     def test_backward_gives_each_parent_its_shape_once_per_pass(self, overrides, n_nodes):
         samples, config, vocab, params = minibatch_setup(overrides)
-        preps = training._prepare_dataset(samples, vocab, params, config)
+        prepared = training._prepare_dataset(samples, vocab, params, config)
         tensors = training._wrap_params(params, config.freeze_encoder)
-        root = training._loss_tape(preps, tensors, config)
+        root = training._loss_tape(prepared, tensors, config)
         nodes, stack = {}, [root]
         while stack:
             node = stack.pop()
@@ -492,9 +537,9 @@ class TestFrozenEncoder:
         vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=8)
         params = init_params(vocab.size, config.dim, config.hidden, seed=5)
         prepared = training._prepare_dataset(samples, vocab, params, config)
-        for sample, prep in zip(samples, prepared):
-            assert prep.frozen is not None
-            cached, cached_grads = joint_loss_and_grads(prep, vocab, params, config)
+        assert prepared.frozen is not None
+        for b, sample in enumerate(samples):
+            [cached], cached_grads = joint_loss_and_grads(prepared.take([b]), vocab, params, config)
             uncached, grads = joint_loss_and_grads(sample, vocab, params, config)
             assert cached == uncached
             assert sorted(cached_grads) == sorted(grads)
