@@ -179,8 +179,10 @@ class _Prepared:
         slots = [[row.setdefault(r, len(row)) for r in self.slots[i]] for i in at]
         answer_ids = None if self.answer_ids is None else [self.answer_ids[i] for i in at]
         frozen = None if self.frozen is None else self.frozen[:, at]
-        return _Prepared([self.samples[i] for i in at], [self.token_ids[r] for r in row],
-                         slots, [self.titles[i] for i in at], answer_ids, frozen)
+        return _Prepared(
+            [self.samples[i] for i in at], [self.token_ids[r] for r in row], slots,
+            [self.titles[i] for i in at], answer_ids, frozen,
+        )
 
 
 def _prepare_samples(samples, vocab: Vocabulary, config: TrainConfig, answer=True) -> _Prepared:
