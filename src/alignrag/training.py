@@ -174,14 +174,20 @@ class _Prepared:
 
     def take(self, at) -> "_Prepared":
         """The samples at positions at, their rows renumbered in the order they first use
-        them: the layout _prepare_samples gives those samples."""
+        them: the layout _prepare_samples gives those samples.
+
+        From a frozen table only the samples, answer ids and frozen columns are taken:
+        a frozen step reads nothing else.
+        """
+        samples = [self.samples[i] for i in at]
+        answer_ids = None if self.answer_ids is None else [self.answer_ids[i] for i in at]
+        if self.frozen is not None:
+            return _Prepared(samples, [], [], [], answer_ids, self.frozen[:, at])
         row: dict[int, int] = {}
         slots = [[row.setdefault(r, len(row)) for r in self.slots[i]] for i in at]
-        answer_ids = None if self.answer_ids is None else [self.answer_ids[i] for i in at]
-        frozen = None if self.frozen is None else self.frozen[:, at]
         return _Prepared(
-            [self.samples[i] for i in at], [self.token_ids[r] for r in row], slots,
-            [self.titles[i] for i in at], answer_ids, frozen,
+            samples, [self.token_ids[r] for r in row], slots,
+            [self.titles[i] for i in at], answer_ids,
         )
 
 

@@ -3,6 +3,11 @@
 The token alphabet is closed: known content tokens get dedicated ids and
 everything else is hashed into a fixed range of bucket ids, so text -> ids
 is a total function.
+
+A token is a maximal run of alphanumeric characters of the lowercased text.
+ASCII text is split by one translate-and-split pass, any other text by the
+regex; both give the same tokens, because the regex's class [^\\W_] holds exactly
+the characters that str.isalnum() accepts, which in lowered ASCII are [a-z0-9].
 """
 from __future__ import annotations
 
@@ -16,10 +21,18 @@ UNK_ID = 3
 N_RESERVED = 4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character but [A-Za-z0-9] becomes a space, so split() finds the tokens.
+_ASCII_GAPS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace/punctuation boundaries."""
+    """Lowercase and split on whitespace/punctuation boundaries.
+
+    ASCII text takes translate-and-split, the exact and faster path: in lowered
+    ASCII the alphanumeric characters the regex keeps are just [a-z0-9].
+    """
+    if text.isascii():
+        return text.lower().translate(_ASCII_GAPS).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -65,7 +78,11 @@ class Vocabulary:
         return N_RESERVED + len(self.tokens) + bucket
 
     def encode(self, text: str) -> list[int]:
-        return [self.token_id(t) for t in tokenize(text)]
+        tokens = tokenize(text)
+        ids = list(map(self._token_to_id.get, tokens))
+        if None in ids:  # content ids are >= N_RESERVED, so None marks the bucket tokens
+            ids = [self.token_id(t) if i is None else i for t, i in zip(tokens, ids)]
+        return ids
 
     def id_to_token(self, tid: int) -> str:
         if not 0 <= tid < self.size:

@@ -546,6 +546,20 @@ class TestFrozenEncoder:
             for name in grads:
                 assert np.array_equal(cached_grads[name], grads[name]), name
 
+    def test_take_keeps_only_what_a_frozen_step_reads(self):
+        samples, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_samples=4, n_gold_evidence=2, n_distractors=6)
+        )
+        config = TrainConfig(dim=16, hidden=12, top_k=3, freeze_encoder=True)
+        vocab = Vocabulary.from_texts(training._dataset_texts(samples), hash_buckets=8)
+        params = init_params(vocab.size, config.dim, config.hidden, seed=5)
+        prepared = training._prepare_dataset(samples, vocab, params, config)
+        taken = prepared.take([2, 0, 2])
+        assert taken.samples == [samples[2], samples[0], samples[2]]
+        assert taken.answer_ids == [prepared.answer_ids[i] for i in (2, 0, 2)]
+        assert np.array_equal(taken.frozen, prepared.frozen[:, [2, 0, 2]])
+        assert taken.token_ids == taken.slots == taken.titles == []
+
     def test_frozen_embedding_never_reaches_the_optimiser(self, monkeypatch):
         samples, _ = generate_synthetic(
             SyntheticSpec(seed=11, n_samples=4, n_gold_evidence=1, n_distractors=4)

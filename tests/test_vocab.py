@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrag.vocab import (
+    _TOKEN_RE,
     BOS_ID,
     EOS_ID,
     N_RESERVED,
@@ -24,6 +27,35 @@ class TestTokenize:
     def test_empty_and_punctuation_only(self):
         assert tokenize("") == []
         assert tokenize("!!! ...") == []
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("Zürich—São Paulo", ["zürich", "são", "paulo"]),
+            ("ＡＢＣ１２ x", ["ａｂｃ１２", "x"]),
+            ("ΟΔΟΣ ΟΔΟΣ.", ["οδος", "οδος"]),
+            ("İstanbul", ["i", "stanbul"]),
+            ("x\xa0y", ["x", "y"]),
+            ("²³ ½ Ⅻ", ["²³", "½", "ⅻ"]),
+        ],
+    )
+    def test_non_ascii(self, text, tokens):
+        assert tokenize(text) == tokens
+
+    def test_each_ascii_character_between_letters(self):
+        for code in range(128):
+            text = "a" + chr(code) + "b"
+            assert tokenize(text) == _TOKEN_RE.findall(text.lower()), code
+
+    @given(st.text())
+    @settings(max_examples=500)
+    def test_matches_the_regex(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    @settings(max_examples=500)
+    def test_matches_the_regex_on_ascii(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestReservedIds:
@@ -70,6 +102,12 @@ class TestVocabulary:
         other = Vocabulary(["alpha", "bravo", "charlie", "delta", "echo"], hash_buckets=8)
         for token in ("zebra", "quux", "xyzzy"):
             assert tiny_vocab.token_id(token) == other.token_id(token)
+
+    @pytest.mark.parametrize(
+        "text", ["Alpha zebra, bravo-quux echo alpha", "zebra quux xyzzy", ""]
+    )
+    def test_encode_is_token_id_of_each_token(self, tiny_vocab, text):
+        assert tiny_vocab.encode(text) == [tiny_vocab.token_id(t) for t in tokenize(text)]
 
     def test_encode_is_total(self, tiny_vocab):
         ids = tiny_vocab.encode("alpha zebra bravo")
